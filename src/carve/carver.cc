@@ -1,6 +1,5 @@
 #include "carve/carver.h"
 
-#include <atomic>
 #include <cstdint>
 #include <utility>
 
@@ -24,94 +23,45 @@ struct CellCoord {
   }
 };
 
-/// Below this many hulls a parallel scan's latch + atomic traffic costs
-/// more than the O(n^2) CLOSE evaluations it spreads out.
-constexpr int64_t kParallelScanMinHulls = 8;
-
 struct ClosePair {
   int64_t i = -1;
   int64_t j = -1;
 };
 
 /// Lexicographically smallest CLOSE pair — smallest i, then smallest j —
-/// or {-1, -1}. The parallel path gives each row i its own ascending scan
-/// for the first matching j (rows are independent), prunes rows already
-/// beaten by a smaller matched row through an atomic lower bound, and
-/// reduces to the smallest matched row. The winning pair is a pure
-/// function of the hulls, not of worker scheduling, so both paths return
-/// the identical pair.
+/// or {-1, -1}.
 ClosePair FindFirstClosePair(const Carver& carver,
-                             const std::vector<Hull>& hulls,
-                             CampaignExecutor* executor) {
+                             const std::vector<Hull>& hulls) {
   const int64_t n = static_cast<int64_t>(hulls.size());
-  if (executor == nullptr || executor->jobs() <= 1 ||
-      n < kParallelScanMinHulls) {
-    for (int64_t i = 0; i + 1 < n; ++i) {
-      for (int64_t j = i + 1; j < n; ++j) {
-        if (carver.Close(hulls[static_cast<size_t>(i)],
-                         hulls[static_cast<size_t>(j)])) {
-          return {i, j};
-        }
-      }
-    }
-    return {};
-  }
-
-  std::atomic<int64_t> best{n};
-  std::vector<int64_t> row_match(static_cast<size_t>(n), -1);
-  executor->ParallelFor(n - 1, [&carver, &hulls, &best, &row_match,
-                                n](int64_t i) {
-    if (i >= best.load(std::memory_order_relaxed)) {
-      return;  // A smaller row already matched; this row cannot win.
-    }
+  for (int64_t i = 0; i + 1 < n; ++i) {
     for (int64_t j = i + 1; j < n; ++j) {
-      if (!carver.Close(hulls[static_cast<size_t>(i)],
-                        hulls[static_cast<size_t>(j)])) {
-        continue;
+      if (carver.Close(hulls[static_cast<size_t>(i)],
+                       hulls[static_cast<size_t>(j)])) {
+        return {i, j};
       }
-      row_match[static_cast<size_t>(i)] = j;
-      int64_t current = best.load(std::memory_order_relaxed);
-      while (i < current &&
-             !best.compare_exchange_weak(current, i,
-                                         std::memory_order_relaxed)) {
-      }
-      break;
     }
-  });
-  const int64_t i = best.load(std::memory_order_relaxed);
-  if (i >= n) {
-    return {};
   }
-  return {i, row_match[static_cast<size_t>(i)]};
+  return {};
 }
 
 }  // namespace
 
 bool Carver::Close(const Hull& a, const Hull& b) const {
-  const bool boundary_close =
-      a.MinVertexDistance(b) <= config_.boundary_d_thresh;
+  // The centroid test is one distance; the boundary test runs only when it
+  // can still change the verdict, and stops at the first close vertex pair.
   const bool center_close = a.CentroidDistance(b) <= config_.center_d_thresh;
   switch (config_.close_mode) {
     case CloseMode::kBoundaryOrCenter:
-      return boundary_close || center_close;
+      return center_close ||
+             a.AnyVertexWithin(b, config_.boundary_d_thresh);
     case CloseMode::kBoundaryAndCenter:
-      return boundary_close && center_close;
+      return center_close &&
+             a.AnyVertexWithin(b, config_.boundary_d_thresh);
   }
   return false;
 }
 
 CarvedSubset Carver::Carve(const IndexSet& points, CarveStats* stats) const {
-  return CarveImpl(points, nullptr, stats);
-}
-
-CarvedSubset Carver::Carve(const IndexSet& points, CampaignExecutor& executor,
-                           CarveStats* stats) const {
-  return CarveImpl(points, &executor, stats);
-}
-
-CarvedSubset Carver::CarveImpl(const IndexSet& points,
-                               CampaignExecutor* executor,
-                               CarveStats* stats) const {
   const Shape& shape = points.shape();
   const int rank = shape.rank();
   KONDO_CHECK(rank >= 1 && rank <= 3);
@@ -142,10 +92,10 @@ CarvedSubset Carver::CarveImpl(const IndexSet& points,
   // Iterated pairwise merging until no two hulls are CLOSE. Each merge
   // strictly decreases the hull count, so at most initial_hulls - 1 merges
   // happen; the rounds bound is a config safety net. Every round merges
-  // the lexicographically smallest CLOSE pair, whichever scan found it.
+  // the lexicographically smallest CLOSE pair.
   int rounds = 0;
   while (rounds++ < config_.max_merge_rounds) {
-    const ClosePair pair = FindFirstClosePair(*this, hulls, executor);
+    const ClosePair pair = FindFirstClosePair(*this, hulls);
     if (pair.i < 0) {
       break;
     }

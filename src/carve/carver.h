@@ -43,18 +43,11 @@ class Carver {
   /// `stats` (optional) receives per-stage counters.
   CarvedSubset Carve(const IndexSet& points, CarveStats* stats = nullptr) const;
 
-  /// As above, with the CLOSE-pair scan of each merge round parallelised
-  /// over `executor`'s workers: every row i searches its own j > i (taking
-  /// the smallest), rows already beaten by a smaller matched row are
-  /// pruned via an atomic bound, and the round merges the lexicographically
-  /// smallest matched pair — exactly the pair the serial scan finds. The
-  /// merge sequence, and therefore the carved output and stats, are
-  /// bit-identical to the serial overload at every jobs setting. Must not
-  /// be called from inside one of `executor`'s own pool tasks.
-  CarvedSubset Carve(const IndexSet& points, CampaignExecutor& executor,
-                     CarveStats* stats = nullptr) const;
-
-  /// The CLOSE predicate of Algorithm 2.
+  /// The CLOSE predicate of Algorithm 2: centre distance <=
+  /// center_d_thresh combined (per close_mode) with boundary distance —
+  /// the minimum vertex-to-vertex distance — <= boundary_d_thresh. The
+  /// centre test runs first and the boundary test only when it can still
+  /// change the verdict (see Hull::AnyVertexWithin).
   bool Close(const Hull& a, const Hull& b) const;
 
   /// Materialises `carved`'s index subset with hulls rasterised in parallel
@@ -66,9 +59,6 @@ class Carver {
                             CampaignExecutor& executor);
 
  private:
-  CarvedSubset CarveImpl(const IndexSet& points, CampaignExecutor* executor,
-                         CarveStats* stats) const;
-
   CarveConfig config_;
 };
 

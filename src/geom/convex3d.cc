@@ -1,8 +1,9 @@
 #include "geom/convex3d.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <map>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -33,12 +34,13 @@ HullFacet MakeFacet(const std::vector<Vec3>& points, int a, int b, int c,
   return facet;
 }
 
-/// Finds four points spanning 3-D space; returns false when the input is
+/// Finds four points spanning 3-D space; returns nullopt when the input is
 /// degenerate (the caller should have rank-reduced already).
-bool FindInitialTetrahedron(const std::vector<Vec3>& points, int out[4]) {
+std::optional<std::array<int, 4>> FindInitialTetrahedron(
+    const std::vector<Vec3>& points) {
   const int n = static_cast<int>(points.size());
   if (n < 4) {
-    return false;
+    return std::nullopt;
   }
   // First two: the pair realizing the largest extent along any axis.
   int i0 = 0;
@@ -59,7 +61,7 @@ bool FindInitialTetrahedron(const std::vector<Vec3>& points, int out[4]) {
     }
   }
   if (best <= kGeomTol) {
-    return false;
+    return std::nullopt;
   }
   // Third: farthest from the line i0-i1.
   const Vec3 dir = Normalized(points[i1] - points[i0]);
@@ -74,7 +76,7 @@ bool FindInitialTetrahedron(const std::vector<Vec3>& points, int out[4]) {
     }
   }
   if (i2 < 0) {
-    return false;
+    return std::nullopt;
   }
   // Fourth: farthest from the plane (i0, i1, i2).
   const Vec3 normal =
@@ -89,22 +91,20 @@ bool FindInitialTetrahedron(const std::vector<Vec3>& points, int out[4]) {
     }
   }
   if (i3 < 0) {
-    return false;
+    return std::nullopt;
   }
-  out[0] = i0;
-  out[1] = i1;
-  out[2] = i2;
-  out[3] = i3;
-  return true;
+  return std::array<int, 4>{i0, i1, i2, i3};
 }
 
 }  // namespace
 
 Hull3D ConvexHull3D(const std::vector<Vec3>& points) {
   Hull3D hull;
-  int tetra[4];
-  KONDO_CHECK(FindInitialTetrahedron(points, tetra))
+  const std::optional<std::array<int, 4>> found =
+      FindInitialTetrahedron(points);
+  KONDO_CHECK(found.has_value())
       << "ConvexHull3D requires full-dimensional input";
+  const std::array<int, 4>& tetra = *found;
 
   const Vec3 interior = (points[tetra[0]] + points[tetra[1]] +
                          points[tetra[2]] + points[tetra[3]]) /
@@ -118,59 +118,84 @@ Hull3D ConvexHull3D(const std::vector<Vec3>& points) {
   hull.facets.push_back(
       MakeFacet(points, tetra[1], tetra[2], tetra[3], interior));
 
+  // Plane of each facet, in facet order: the visibility scan below is the
+  // hot loop, and four packed doubles per facet keep it in cache.
+  std::vector<double> planes;
+  auto push_plane = [&planes](const HullFacet& facet) {
+    planes.insert(planes.end(), {facet.normal.x, facet.normal.y,
+                                 facet.normal.z, facet.offset});
+  };
+  for (const HullFacet& facet : hull.facets) {
+    push_plane(facet);
+  }
+  std::vector<char> visible;
+  // Edges of the visible facets as (undirected key, directed edge).
+  std::vector<std::pair<std::pair<int, int>, std::pair<int, int>>> edges;
   const int n = static_cast<int>(points.size());
   for (int i = 0; i < n; ++i) {
     if (i == tetra[0] || i == tetra[1] || i == tetra[2] || i == tetra[3]) {
       continue;
     }
-    // Collect facets visible from points[i].
-    std::vector<char> visible(hull.facets.size(), 0);
+    // Collect facets visible from points[i] (HullFacet::SignedDistance).
+    const Vec3& p = points[i];
+    const size_t num_facets = hull.facets.size();
+    visible.resize(num_facets);
     bool any_visible = false;
-    for (size_t f = 0; f < hull.facets.size(); ++f) {
-      if (hull.facets[f].SignedDistance(points[i]) > kGeomTol) {
-        visible[f] = 1;
-        any_visible = true;
-      }
+    for (size_t f = 0; f < num_facets; ++f) {
+      const double* plane = &planes[4 * f];
+      const bool sees =
+          plane[0] * p.x + plane[1] * p.y + plane[2] * p.z - plane[3] >
+          kGeomTol;
+      visible[f] = sees;
+      any_visible |= sees;
     }
     if (!any_visible) {
       continue;  // Inside (or on) the current hull.
     }
-    // Horizon edges: edges belonging to exactly one visible facet. We count
-    // undirected edges over visible facets; shared edges appear twice.
-    std::map<std::pair<int, int>, std::pair<int, int>> edge_counts;
-    auto add_edge = [&edge_counts](int u, int v) {
-      auto key = std::minmax(u, v);
-      auto [it, inserted] =
-          edge_counts.try_emplace({key.first, key.second},
-                                  std::pair<int, int>{u, v});
-      if (!inserted) {
-        it->second = {-1, -1};  // Interior edge of the visible region.
-      }
-    };
-    for (size_t f = 0; f < hull.facets.size(); ++f) {
+    // Horizon edges: edges belonging to exactly one visible facet. Edges
+    // shared by two visible facets are interior to the visible region.
+    edges.clear();
+    for (size_t f = 0; f < num_facets; ++f) {
       if (!visible[f]) {
         continue;
       }
-      add_edge(hull.facets[f].a, hull.facets[f].b);
-      add_edge(hull.facets[f].b, hull.facets[f].c);
-      add_edge(hull.facets[f].c, hull.facets[f].a);
-    }
-    // Remove visible facets.
-    std::vector<HullFacet> kept;
-    kept.reserve(hull.facets.size());
-    for (size_t f = 0; f < hull.facets.size(); ++f) {
-      if (!visible[f]) {
-        kept.push_back(hull.facets[f]);
+      const HullFacet& facet = hull.facets[f];
+      for (const auto& [u, v] : {std::pair<int, int>{facet.a, facet.b},
+                                 std::pair<int, int>{facet.b, facet.c},
+                                 std::pair<int, int>{facet.c, facet.a}}) {
+        edges.push_back({std::minmax(u, v), {u, v}});
       }
     }
-    hull.facets = std::move(kept);
-    // Attach a new facet for every horizon edge.
-    for (const auto& [key, directed] : edge_counts) {
-      if (directed.first < 0) {
-        continue;  // Interior edge, not on the horizon.
+    std::stable_sort(edges.begin(), edges.end(),
+                     [](const auto& x, const auto& y) {
+                       return x.first < y.first;
+                     });
+    // Remove visible facets, keeping the order of the rest.
+    size_t kept = 0;
+    for (size_t f = 0; f < num_facets; ++f) {
+      if (visible[f]) {
+        continue;
       }
-      hull.facets.push_back(
-          MakeFacet(points, directed.first, directed.second, i, interior));
+      if (kept != f) {
+        hull.facets[kept] = hull.facets[f];
+        std::copy_n(&planes[4 * f], 4, &planes[4 * kept]);
+      }
+      ++kept;
+    }
+    hull.facets.resize(kept);
+    planes.resize(4 * kept);
+    // Attach a new facet for every horizon edge, in edge-key order.
+    for (size_t e = 0; e < edges.size();) {
+      size_t end = e + 1;
+      while (end < edges.size() && edges[end].first == edges[e].first) {
+        ++end;
+      }
+      if (end - e == 1) {
+        hull.facets.push_back(MakeFacet(points, edges[e].second.first,
+                                        edges[e].second.second, i, interior));
+        push_plane(hull.facets.back());
+      }
+      e = end;
     }
   }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -17,6 +19,83 @@ void DedupePoints(std::vector<Vec3>* points) {
               return a.z < b.z;
             });
   points->erase(std::unique(points->begin(), points->end()), points->end());
+}
+
+/// A hull facet (or polygon edge) as an ambient half-space: every point p
+/// the facet's `Contains` test accepts satisfies
+/// Dot(normal, p) <= bound, up to rounding; `bound` includes the tolerance.
+struct HalfSpace {
+  Vec3 normal;
+  double bound = 0.0;
+};
+
+/// Scanline tuning. A half-space whose normal has a last-axis component
+/// within kParallelSlope of zero is treated as parallel to the columns:
+/// lattice facets have components of at least ~1e-6 or exactly zero up to
+/// rounding. A column outside such a half-space by more than
+/// kParallelSlack is empty; lattice points are either on a facet plane
+/// (|distance| ~1e-13) or ~1e-5 and more away from it, so that decision
+/// matches Contains. kRunSlack widens each solved run far beyond rounding
+/// error yet well inside one lattice step, and Contains then trims the
+/// ends exactly.
+constexpr double kParallelSlope = 1e-9;
+constexpr double kParallelSlack = 1e-9;
+constexpr double kRunSlack = 1e-3;
+
+/// The integral value `v` clamped to [lo, hi] (infinities included).
+int64_t ClampToInt(double v, int64_t lo, int64_t hi) {
+  if (v <= static_cast<double>(lo)) return lo;
+  if (v >= static_cast<double>(hi)) return hi;
+  return static_cast<int64_t>(v);
+}
+
+/// Maps a local-frame half-space Dot(n, L(p)) <= offset + tol, with
+/// L(p) = basis . (p - origin), into ambient coordinates.
+HalfSpace ToAmbient(const Vec3& local_normal, double offset, double tol,
+                    const Vec3& origin, const Vec3 basis[3]) {
+  HalfSpace plane;
+  for (int b = 0; b < 3; ++b) {
+    plane.normal += basis[b] * local_normal[b];
+  }
+  plane.bound = offset + tol + Dot(plane.normal, origin);
+  return plane;
+}
+
+/// Half-spaces of a 3-D hull's facets (PointInHull3D's tests).
+std::vector<HalfSpace> FacetHalfSpaces(const Hull3D& hull, const Vec3& origin,
+                                       const Vec3 basis[3], double tol) {
+  std::vector<HalfSpace> planes;
+  planes.reserve(hull.facets.size());
+  for (const HullFacet& facet : hull.facets) {
+    planes.push_back(
+        ToAmbient(facet.normal, facet.offset, tol, origin, basis));
+  }
+  return planes;
+}
+
+/// Half-spaces of a CCW polygon's edges (PointInConvexPolygon's tests:
+/// Cross2(a, b, p) >= -tol * |b - a|, i.e. the outward unit normal's
+/// distance is at most tol). Empty for degenerate polygons, which that
+/// predicate treats as a point or a segment.
+std::vector<HalfSpace> PolygonHalfSpaces(const std::vector<Vec2>& polygon,
+                                         const Vec3& origin,
+                                         const Vec3 basis[3], double tol) {
+  std::vector<HalfSpace> planes;
+  if (polygon.size() < 3) {
+    return planes;
+  }
+  for (size_t i = 0; i < polygon.size(); ++i) {
+    const Vec2& a = polygon[i];
+    const Vec2& b = polygon[(i + 1) % polygon.size()];
+    const double edge_len = std::hypot(b.x - a.x, b.y - a.y);
+    if (edge_len <= 0.0) {
+      continue;
+    }
+    const Vec3 outward((b.y - a.y) / edge_len, (a.x - b.x) / edge_len, 0.0);
+    planes.push_back(ToAmbient(outward, outward.x * a.x + outward.y * a.y,
+                               tol, origin, basis));
+  }
+  return planes;
 }
 
 }  // namespace
@@ -178,14 +257,15 @@ double Hull::Measure() const {
   }
 }
 
-double Hull::MinVertexDistance(const Hull& other) const {
-  double best = std::numeric_limits<double>::infinity();
+bool Hull::AnyVertexWithin(const Hull& other, double d) const {
   for (const Vec3& a : vertices_) {
     for (const Vec3& b : other.vertices_) {
-      best = std::min(best, Distance(a, b));
+      if (Distance(a, b) <= d) {
+        return true;
+      }
     }
   }
-  return best;
+  return false;
 }
 
 double Hull::CentroidDistance(const Hull& other) const {
@@ -214,8 +294,8 @@ void Hull::IntegerBounds(int64_t lo[3], int64_t hi[3]) const {
   }
 }
 
-void Hull::RasterizeInto(IndexSet* out, double tol) const {
-  const Shape& shape = out->shape();
+template <typename EmitRun>
+void Hull::ForEachRun(const Shape& shape, double tol, EmitRun&& emit) const {
   KONDO_CHECK_EQ(shape.rank(), rank_);
   int64_t lo[3];
   int64_t hi[3];
@@ -229,28 +309,107 @@ void Hull::RasterizeInto(IndexSet* out, double tol) const {
     lo[d] = 0;
     hi[d] = 0;
   }
+  const int axis = rank_ - 1;
+  std::vector<HalfSpace> planes;
+  if (affine_rank_ == rank_) {
+    if (rank_ == 2) {
+      planes = PolygonHalfSpaces(polygon_, origin_, basis_, tol);
+    } else if (rank_ == 3) {
+      planes = FacetHalfSpaces(hull3d_, origin_, basis_, tol);
+    }
+  }
+  const bool scanline = !planes.empty();
+
   Index index(rank_);
-  for (int64_t x = lo[0]; x <= hi[0]; ++x) {
-    for (int64_t y = lo[1]; y <= hi[1]; ++y) {
-      for (int64_t z = lo[2]; z <= hi[2]; ++z) {
-        Vec3 p(static_cast<double>(x), static_cast<double>(y),
-               static_cast<double>(z));
-        if (!Contains(p, tol)) {
+  auto inside = [this, &index, tol](int64_t v) {
+    Vec3 p = Vec3::FromIndex(index);
+    p[rank_ - 1] = static_cast<double>(v);
+    return Contains(p, tol);
+  };
+  for (int64_t x = lo[0]; x <= (axis > 0 ? hi[0] : lo[0]); ++x) {
+    for (int64_t y = lo[1]; y <= (axis > 1 ? hi[1] : lo[1]); ++y) {
+      if (axis > 0) index[0] = x;
+      if (axis > 1) index[1] = y;
+      if (!scanline) {
+        for (int64_t v = lo[axis]; v <= hi[axis]; ++v) {
+          if (inside(v)) {
+            emit(index, v, v);
+          }
+        }
+        continue;
+      }
+      // Solve the column's interval along `axis`, widened by kRunSlack so
+      // that rounding in the solve can only add candidates, never lose
+      // them; then move each end until Contains agrees.
+      double run_lo = -std::numeric_limits<double>::infinity();
+      double run_hi = std::numeric_limits<double>::infinity();
+      Vec3 column = Vec3::FromIndex(index);
+      column[axis] = 0.0;
+      bool empty = false;
+      for (const HalfSpace& plane : planes) {
+        const double rest = plane.bound - Dot(plane.normal, column);
+        const double slope = plane.normal[axis];
+        if (slope > kParallelSlope) {
+          run_hi = std::min(run_hi, rest / slope);
+        } else if (slope < -kParallelSlope) {
+          run_lo = std::max(run_lo, rest / slope);
+        } else if (rest < -kParallelSlack) {
+          empty = true;  // The column misses a plane parallel to it.
+          break;
+        }
+      }
+      if (empty || run_lo > run_hi) {
+        continue;
+      }
+      int64_t first =
+          ClampToInt(std::ceil(run_lo - kRunSlack), lo[axis], hi[axis] + 1);
+      int64_t last =
+          ClampToInt(std::floor(run_hi + kRunSlack), lo[axis] - 1, hi[axis]);
+      if (first > last) {
+        continue;
+      }
+      if (inside(first)) {
+        while (first > lo[axis] && inside(first - 1)) --first;
+      } else {
+        do {
+          ++first;
+        } while (first <= last && !inside(first));
+        if (first > last) {
           continue;
         }
-        index[0] = x;
-        if (rank_ > 1) index[1] = y;
-        if (rank_ > 2) index[2] = z;
-        out->Insert(index);
       }
+      if (inside(last)) {
+        while (last < hi[axis] && inside(last + 1)) ++last;
+      } else {
+        do {
+          --last;
+        } while (last > first && !inside(last));
+      }
+      emit(index, first, last);
     }
   }
 }
 
+void Hull::RasterizeInto(IndexSet* out, double tol) const {
+  const Shape& shape = out->shape();
+  ForEachRun(shape, tol, [this, out, &shape](Index& index, int64_t first,
+                                              int64_t last) {
+    // The last axis is contiguous in row-major order.
+    index[rank_ - 1] = first;
+    const int64_t base = shape.Linearize(index);
+    for (int64_t v = 0; v <= last - first; ++v) {
+      out->InsertLinear(base + v);
+    }
+  });
+}
+
 int64_t Hull::CountIntegerPoints(const Shape& shape, double tol) const {
-  IndexSet scratch(shape);
-  RasterizeInto(&scratch, tol);
-  return static_cast<int64_t>(scratch.size());
+  int64_t count = 0;
+  ForEachRun(shape, tol,
+             [&count](const Index&, int64_t first, int64_t last) {
+               count += last - first + 1;
+             });
+  return count;
 }
 
 }  // namespace kondo

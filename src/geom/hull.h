@@ -51,9 +51,11 @@ class Hull {
   /// point).
   double Measure() const;
 
-  /// The paper's "hull boundary" distance: the minimum distance between
-  /// this hull's vertices and `other`'s vertices.
-  double MinVertexDistance(const Hull& other) const;
+  /// The paper's "hull boundary" test: true when some vertex of this hull
+  /// and some vertex of `other` are at most `d` apart, i.e. when the
+  /// minimum vertex-to-vertex distance is <= d. Returns at the first such
+  /// pair, so close hulls usually cost a handful of distances.
+  bool AnyVertexWithin(const Hull& other, double d) const;
 
   /// Distance between the two hull centroids.
   double CentroidDistance(const Hull& other) const;
@@ -62,16 +64,30 @@ class Hull {
   /// floor(min)-bounds and ceil(max)-bounds per dimension.
   void IntegerBounds(int64_t lo[3], int64_t hi[3]) const;
 
-  /// Inserts into `out` every integer index of `shape` inside the hull.
-  /// Only the hull's bounding box is scanned.
+  /// Inserts into `out` every integer index of `out->shape()` inside the
+  /// hull (per `Contains(p, tol)`), in row-major order. A full-dimensional
+  /// hull (affine rank == ambient rank 2 or 3) is walked column by column
+  /// along the last axis: each column's interval is solved from the facet
+  /// (or polygon-edge) half-spaces, both ends are confirmed with
+  /// `Contains`, and the run is inserted whole, so the cost is one interval
+  /// solve per bounding-box column plus the output. Degenerate hulls (and
+  /// rank-1 ones) test every bounding-box point.
   void RasterizeInto(IndexSet* out, double tol = 1e-6) const;
 
-  /// Number of integer points of `shape` inside the hull (without
-  /// materialising them).
+  /// Number of integer points of `shape` inside the hull: the sum of the
+  /// same runs RasterizeInto inserts, without materialising them.
   int64_t CountIntegerPoints(const Shape& shape, double tol = 1e-6) const;
 
  private:
   Hull() = default;
+
+  /// Calls `emit(index, first, last)` for runs of integer points of
+  /// `shape` inside the hull along the last axis, in row-major order: the
+  /// points are `index` with its last coordinate set to each of
+  /// first..last. A run is a column's whole interval on the scanline path
+  /// and a single point on the per-point path.
+  template <typename EmitRun>
+  void ForEachRun(const Shape& shape, double tol, EmitRun&& emit) const;
 
   /// Projects `p` into local affine coordinates; `residual` (optional)
   /// receives the distance from `p` to the affine subspace.

@@ -78,20 +78,21 @@ StatusOr<MergedCampaign> MergeShardCampaigns(
     merged.per_file_discovered.push_back(std::move(set));
   }
 
-  // Carve the files one at a time, spending the workers *inside* each
-  // file: every hull-merge round's CLOSE-pair scan fans out over the pool
-  // (bit-identical merge order, see Carver::Carve), and so does each
-  // file's rasterisation. Carving files serially keeps every ParallelFor
-  // on the calling thread — a pool task must never start a nested one —
-  // and the scan dominates carve time, so the workers stay busy even on a
-  // single-file program.
+  // Carve the files one at a time on the calling thread, then spend the
+  // workers *inside* each file's rasterisation (hulls in parallel,
+  // bit-identical union order, see Carver::Rasterize). Keeping every
+  // ParallelFor on the calling thread means a pool task never starts a
+  // nested one. The CLOSE-pair scan stays serial: its centroid test
+  // usually settles a pair in one distance, so fanning a merge round out
+  // over the pool would cost more than it spreads.
   const Carver carver(config.carve);
   merged.per_file_approx.reserve(static_cast<size_t>(files));
   merged.per_file_carve_stats.reserve(static_cast<size_t>(files));
   for (int f = 0; f < files; ++f) {
     CarveStats stats;
-    const CarvedSubset carved = carver.Carve(
-        merged.per_file_discovered[static_cast<size_t>(f)], executor, &stats);
+    const CarvedSubset carved =
+        carver.Carve(merged.per_file_discovered[static_cast<size_t>(f)],
+                     &stats);
     merged.per_file_approx.push_back(Carver::Rasterize(carved, executor));
     merged.per_file_carve_stats.push_back(stats);
   }

@@ -35,10 +35,9 @@ struct MergedCampaign {
 ///    `elapsed_seconds` is folded as the max;
 ///  * unions the slice-restricted per-file index sets (an exact partition,
 ///    so the union is the unsharded discovery set);
-///  * carves each file — serially over files, but with every merge
-///    round's CLOSE-pair scan parallelised over `executor` — and
-///    rasterises each file's hulls in parallel (never nesting ParallelFor
-///    inside a pool task).
+///  * carves each file on the calling thread, one file at a time, and
+///    rasterises each file's hulls in parallel over `executor` (never
+///    nesting ParallelFor inside a pool task).
 /// The output is bit-identical to the unsharded RunMultiFileKondo at every
 /// shard and jobs setting.
 StatusOr<MergedCampaign> MergeShardCampaigns(

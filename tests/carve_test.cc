@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "array/index_set.h"
@@ -7,8 +12,10 @@
 #include "carve/carved_subset.h"
 #include "carve/carver.h"
 #include "common/rng.h"
-#include "exec/campaign_executor.h"
+#include "core/kondo.h"
 #include "geom/hull.h"
+#include "geom/vec.h"
+#include "workloads/registry.h"
 
 namespace kondo {
 namespace {
@@ -62,6 +69,74 @@ TEST(CloseTest, AndModeRequiresBoth) {
   const Hull a = Hull::FromIndices({Index{0, 0}, Index{40, 40}}, 2);
   const Hull b = Hull::FromIndices({Index{80, 80}, Index{90, 90}}, 2);
   EXPECT_FALSE(carver.Close(a, b));
+}
+
+// The CLOSE formula as Algorithm 2 states it: the all-pairs minimum
+// vertex distance against the boundary threshold, combined with the centre
+// test.
+bool ReferenceClose(const CarveConfig& config, const Hull& a, const Hull& b) {
+  double min_vertex = std::numeric_limits<double>::infinity();
+  for (const Vec3& u : a.vertices()) {
+    for (const Vec3& v : b.vertices()) {
+      min_vertex = std::min(min_vertex, Distance(u, v));
+    }
+  }
+  const bool boundary_close = min_vertex <= config.boundary_d_thresh;
+  const bool center_close =
+      a.CentroidDistance(b) <= config.center_d_thresh;
+  return config.close_mode == CloseMode::kBoundaryOrCenter
+             ? boundary_close || center_close
+             : boundary_close && center_close;
+}
+
+Hull RandomClusterHull(Rng& rng, int rank) {
+  const Vec3 centre(static_cast<double>(rng.UniformInt(0, 60)),
+                    static_cast<double>(rng.UniformInt(0, 60)),
+                    rank > 2 ? static_cast<double>(rng.UniformInt(0, 60))
+                             : 0.0);
+  const int64_t radius = rng.UniformInt(0, 8);
+  std::vector<Vec3> points;
+  const int n = static_cast<int>(rng.UniformInt(1, 30));
+  for (int i = 0; i < n; ++i) {
+    points.push_back(
+        centre +
+        Vec3(static_cast<double>(rng.UniformInt(-radius, radius)),
+             static_cast<double>(rng.UniformInt(-radius, radius)),
+             rank > 2 ? static_cast<double>(rng.UniformInt(-radius, radius))
+                      : 0.0));
+  }
+  return Hull::Build(points, rank);
+}
+
+TEST(CloseTest, MatchesMinVertexDistanceFormulaInBothModes) {
+  Rng rng(811);
+  int close_verdicts = 0;
+  int far_verdicts = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const int rank = trial % 2 == 0 ? 2 : 3;
+    const Hull a = RandomClusterHull(rng, rank);
+    const Hull b = RandomClusterHull(rng, rank);
+    CarveConfig config;
+    config.center_d_thresh = static_cast<double>(rng.UniformInt(0, 40));
+    config.boundary_d_thresh = static_cast<double>(rng.UniformInt(0, 20));
+    if (trial % 4 == 1) {
+      // Put the boundary threshold exactly on one vertex-pair distance.
+      config.boundary_d_thresh = Distance(a.vertices()[0], b.vertices()[0]);
+    }
+    for (CloseMode mode :
+         {CloseMode::kBoundaryOrCenter, CloseMode::kBoundaryAndCenter}) {
+      config.close_mode = mode;
+      const bool expected = ReferenceClose(config, a, b);
+      EXPECT_EQ(Carver(config).Close(a, b), expected)
+          << "trial=" << trial << " mode=" << static_cast<int>(mode);
+      EXPECT_EQ(Carver(config).Close(b, a), expected)
+          << "trial=" << trial << " mode=" << static_cast<int>(mode);
+      ++(expected ? close_verdicts : far_verdicts);
+    }
+  }
+  // Both verdicts occur often enough for the comparison to mean something.
+  EXPECT_GT(close_verdicts, 100);
+  EXPECT_GT(far_verdicts, 100);
 }
 
 // --------------------------------------------------------------- Carver --
@@ -150,41 +225,6 @@ TEST(CarverTest, RasterizeIsSupersetOfInputProperty) {
   }
 }
 
-TEST(CarverTest, ParallelScanCarveIsBitIdenticalToSerial) {
-  // The executor overload parallelises every merge round's CLOSE-pair
-  // scan; the chosen pair — and therefore every hull, every stat, and the
-  // rasterised result — must match the serial scan exactly.
-  Rng rng(29);
-  CampaignExecutor executor(4);
-  for (int trial = 0; trial < 6; ++trial) {
-    const Shape shape{128, 128};
-    IndexSet points(shape);
-    const int clusters = static_cast<int>(rng.UniformInt(6, 14));
-    for (int c = 0; c < clusters; ++c) {
-      const int64_t cx = rng.UniformInt(8, 119);
-      const int64_t cy = rng.UniformInt(8, 119);
-      for (int i = 0; i < 30; ++i) {
-        points.Insert(Index{cx + rng.UniformInt(-6, 6),
-                            cy + rng.UniformInt(-6, 6)});
-      }
-    }
-    Carver carver(CarveConfig{});
-    CarveStats serial_stats;
-    CarveStats parallel_stats;
-    const CarvedSubset serial = carver.Carve(points, &serial_stats);
-    const CarvedSubset parallel =
-        carver.Carve(points, executor, &parallel_stats);
-    EXPECT_EQ(serial_stats.num_cells, parallel_stats.num_cells);
-    EXPECT_EQ(serial_stats.merge_operations, parallel_stats.merge_operations)
-        << "trial=" << trial;
-    EXPECT_EQ(serial_stats.final_hulls, parallel_stats.final_hulls);
-    ASSERT_EQ(serial.num_hulls(), parallel.num_hulls()) << "trial=" << trial;
-    EXPECT_EQ(serial.Rasterize().ToSortedLinearIds(),
-              parallel.Rasterize().ToSortedLinearIds())
-        << "trial=" << trial;
-  }
-}
-
 TEST(CarverTest, ThreeDimensionalCarving) {
   const Shape shape{32, 32, 32};
   IndexSet points(shape);
@@ -228,6 +268,74 @@ TEST(CarverTest, ThresholdZeroDisablesMerging) {
   // Adjacent cell hulls have vertex distance 1 > 0: no merges.
   EXPECT_EQ(stats.merge_operations, 0);
   EXPECT_EQ(carved.num_hulls(), 4);
+}
+
+// ------------------------------------------------------------- golden --
+
+// FNV-1a over the sorted linear ids: a compact fingerprint of a raster.
+uint64_t RasterHash(const IndexSet& set) {
+  uint64_t hash = 14695981039346656037ull;
+  for (int64_t id : set.ToSortedLinearIds()) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= static_cast<uint64_t>(id >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+struct GoldenCampaign {
+  const char* program;
+  int64_t n;
+  uint64_t seed;
+  int64_t cell_size;
+  int64_t max_evals;  // 0 = the schedule's own stopping rules.
+  CloseMode close_mode;
+  int cell_hulls;
+  int merges;
+  int final_hulls;
+  size_t points_out;
+  uint64_t raster_hash;
+};
+
+// Carve stats and rasterised sets of small offset-mode campaigns, recorded
+// with the original all-pairs CLOSE scan and per-point rasteriser. Cells
+// are smaller than the scaled default so each campaign runs tens to
+// hundreds of merges. Any change to carving or rasterisation must
+// reproduce these exactly.
+TEST(CarveGoldenTest, SmallCampaignsAreBitIdenticalToRecorded) {
+  constexpr CloseMode kAnd = CloseMode::kBoundaryAndCenter;
+  constexpr CloseMode kOr = CloseMode::kBoundaryOrCenter;
+  const GoldenCampaign kGolden[] = {
+      {"PRL3D", 32, 1, 8, 0, kAnd, 63, 62, 1, 29791, 9592686427952024197ull},
+      {"PRL3D", 48, 3, 8, 300, kAnd, 208, 204, 4, 103823,
+       15251078898483145999ull},
+      {"PRL3D", 48, 3, 8, 300, kOr, 208, 207, 1, 103823,
+       15251078898483145999ull},
+      {"LDC3D", 32, 7, 4, 0, kAnd, 54, 52, 2, 3456, 11767736183091271269ull},
+      {"LDC3D", 32, 7, 4, 0, kOr, 54, 52, 2, 3456, 11767736183091271269ull},
+      {"PRL", 64, 1, 8, 0, kAnd, 63, 60, 3, 3969, 1188664572566480069ull},
+      {"LDC", 64, 2, 8, 0, kAnd, 18, 16, 2, 1152, 7314317785746314341ull},
+  };
+  for (const GoldenCampaign& golden : kGolden) {
+    const std::unique_ptr<Program> program =
+        CreateProgram(golden.program, golden.n);
+    ASSERT_NE(program, nullptr) << golden.program;
+    KondoConfig config = ScaledKondoConfig(program->data_shape());
+    config.rng_seed = golden.seed;
+    config.fuzz.max_evals = golden.max_evals;
+    config.carve.cell_size = golden.cell_size;
+    config.carve.close_mode = golden.close_mode;
+    const KondoResult result = KondoPipeline(config).Run(*program);
+    const std::string where =
+        std::string(golden.program) + " n=" + std::to_string(golden.n) +
+        " mode=" + std::to_string(static_cast<int>(golden.close_mode));
+    EXPECT_EQ(result.carve_stats.initial_hulls, golden.cell_hulls) << where;
+    EXPECT_EQ(result.carve_stats.merge_operations, golden.merges) << where;
+    EXPECT_EQ(result.carve_stats.final_hulls, golden.final_hulls) << where;
+    EXPECT_EQ(result.approx.size(), golden.points_out) << where;
+    EXPECT_EQ(RasterHash(result.approx), golden.raster_hash) << where;
+  }
 }
 
 // ---------------------------------------------------------- CarvedSubset --

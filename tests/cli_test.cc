@@ -376,7 +376,7 @@ TEST(CliTest, PackUnpackRepackFlow) {
 
 TEST(CliTest, PackRejectsGarbageIntFlags) {
   const std::string kdd = TempPath("cli_pack_flags.kdd");
-  for (const std::string args : std::vector<std::string>{
+  for (const std::string& args : std::vector<std::string>{
            "pack " + kdd + " out.kdp --chunk banana",
            "pack " + kdd + " out.kdp --chunk -2",
            "pack " + kdd + " out.kdp --jobs 1.5",

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -320,8 +322,12 @@ TEST(HullTest, CentroidAndVertexDistance) {
                               Vec3(10, 2, 0), Vec3(12, 2, 0)},
                              2);
   EXPECT_DOUBLE_EQ(a.CentroidDistance(b), 10.0);
-  EXPECT_DOUBLE_EQ(a.MinVertexDistance(b), 8.0);
-  EXPECT_DOUBLE_EQ(a.MinVertexDistance(a), 0.0);
+  // The closest vertex pair, (2, y) and (10, y), is exactly 8.0 apart.
+  EXPECT_TRUE(a.AnyVertexWithin(b, 8.0));
+  EXPECT_TRUE(b.AnyVertexWithin(a, 8.0));
+  EXPECT_FALSE(a.AnyVertexWithin(b, std::nextafter(8.0, 0.0)));
+  EXPECT_FALSE(b.AnyVertexWithin(a, 7.5));
+  EXPECT_TRUE(a.AnyVertexWithin(a, 0.0));
 }
 
 TEST(HullTest, RasterizeSquare) {
@@ -381,6 +387,157 @@ TEST(HullTest, RasterizeContainsIntegerInputsProperty) {
       EXPECT_TRUE(raster.Contains(index)) << index << " trial=" << trial;
     }
   }
+}
+
+// ------------------------------------------------- scanline vs per-point --
+
+// The per-point rasteriser the scanline path replaced: every integer point
+// of the hull's bounding box (clipped to `shape`) tested with Contains, in
+// row-major order.
+std::vector<int64_t> PerPointRaster(const Hull& hull, const Shape& shape) {
+  int64_t lo[3];
+  int64_t hi[3];
+  hull.IntegerBounds(lo, hi);
+  for (int d = 0; d < 3; ++d) {
+    lo[d] = d < shape.rank() ? std::max<int64_t>(lo[d], 0) : 0;
+    hi[d] = d < shape.rank() ? std::min<int64_t>(hi[d], shape.dim(d) - 1) : 0;
+  }
+  std::vector<int64_t> ids;
+  Index index(shape.rank());
+  for (int64_t x = lo[0]; x <= hi[0]; ++x) {
+    for (int64_t y = lo[1]; y <= hi[1]; ++y) {
+      for (int64_t z = lo[2]; z <= hi[2]; ++z) {
+        if (!hull.Contains(Vec3(static_cast<double>(x),
+                                static_cast<double>(y),
+                                static_cast<double>(z)),
+                           1e-6)) {
+          continue;
+        }
+        index[0] = x;
+        if (shape.rank() > 1) index[1] = y;
+        if (shape.rank() > 2) index[2] = z;
+        ids.push_back(shape.Linearize(index));
+      }
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+// A random lattice cloud of one of several kinds; coordinates may fall
+// outside `shape` so that hulls are clipped at its edge.
+std::vector<Vec3> RandomCloud(Rng& rng, const Shape& shape, int kind) {
+  const int rank = shape.rank();
+  auto coord = [&rng, &shape](int d, int64_t margin) {
+    return static_cast<double>(
+        rng.UniformInt(-margin, shape.dim(d) - 1 + margin));
+  };
+  std::vector<Vec3> points;
+  const int n = static_cast<int>(rng.UniformInt(1, 40));
+  const double slope_x = static_cast<double>(rng.UniformInt(-3, 3)) / 4.0;
+  const double slope_y = static_cast<double>(rng.UniformInt(-3, 3)) / 4.0;
+  const int64_t thickness = rng.UniformInt(0, 2);
+  const Vec3 anchor(coord(0, 0), coord(1, 0), rank > 2 ? coord(2, 0) : 0.0);
+  const Vec3 step(static_cast<double>(rng.UniformInt(-2, 2)),
+                  static_cast<double>(rng.UniformInt(-2, 2)),
+                  rank > 2 ? static_cast<double>(rng.UniformInt(-2, 2)) : 0.0);
+  for (int i = 0; i < n; ++i) {
+    Vec3 p(coord(0, 6), coord(1, 6), rank > 2 ? coord(2, 6) : 0.0);
+    switch (kind) {
+      case 0:  // Full-dimensional cloud.
+        break;
+      case 1: {  // Thin slab around a tilted line (2-D) or plane (3-D).
+        const int last = rank - 1;
+        const double base =
+            rank > 2 ? std::round(slope_x * p.x + slope_y * p.y)
+                     : std::round(slope_x * p.x);
+        p[last] = anchor[last] + base +
+                  static_cast<double>(rng.UniformInt(0, thickness));
+        break;
+      }
+      case 2:  // Points on one lattice line: a segment (or a point).
+        p = anchor + step * static_cast<double>(rng.UniformInt(-8, 8));
+        break;
+      case 3:  // Points on one lattice plane: a polygon in 3-D.
+        p = anchor + step * static_cast<double>(rng.UniformInt(-8, 8)) +
+            Vec3(0, 1, 1) * static_cast<double>(rng.UniformInt(-8, 8));
+        if (rank < 3) p.z = 0.0;
+        break;
+      default:  // A single point.
+        p = anchor;
+        break;
+    }
+    points.push_back(p);
+  }
+  return points;
+}
+
+TEST(HullRasterTest, ScanlineRasterMatchesPerPointOracle) {
+  Rng rng(4711);
+  int full_dimensional = 0;
+  for (const Shape& shape : {Shape{37, 29}, Shape{18, 23, 21}}) {
+    for (int trial = 0; trial < 300; ++trial) {
+      const int kind = trial % 5;
+      const Hull hull =
+          Hull::Build(RandomCloud(rng, shape, kind), shape.rank());
+      if (hull.affine_rank() == shape.rank()) {
+        ++full_dimensional;
+      }
+      IndexSet raster(shape);
+      hull.RasterizeInto(&raster);
+      const std::vector<int64_t> expected = PerPointRaster(hull, shape);
+      ASSERT_EQ(raster.ToSortedLinearIds(), expected)
+          << "rank=" << shape.rank() << " trial=" << trial << " kind=" << kind
+          << " affine_rank=" << hull.affine_rank();
+      EXPECT_EQ(hull.CountIntegerPoints(shape),
+                static_cast<int64_t>(expected.size()))
+          << "rank=" << shape.rank() << " trial=" << trial;
+    }
+  }
+  // Most clouds exercise the scanline path, not the per-point fallback.
+  EXPECT_GT(full_dimensional, 200);
+}
+
+TEST(HullRasterTest, ScanlineRasterMatchesOracleOnLargeHulls) {
+  // Merge-sized hulls with hundreds of facets over a long last axis.
+  Rng rng(99);
+  const Shape shape{40, 48, 300};
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<Vec3> points;
+    for (int i = 0; i < 400; ++i) {
+      points.push_back(Vec3(static_cast<double>(rng.UniformInt(-4, 43)),
+                            static_cast<double>(rng.UniformInt(2, 45)),
+                            static_cast<double>(rng.UniformInt(10, 310))));
+    }
+    const Hull hull = Hull::Build(points, 3);
+    IndexSet raster(shape);
+    hull.RasterizeInto(&raster);
+    EXPECT_EQ(raster.ToSortedLinearIds(), PerPointRaster(hull, shape))
+        << "trial=" << trial;
+  }
+}
+
+TEST(HullRasterTest, ScanlineMatchesOracleOnNeedleHulls) {
+  // Long shallow edges put lattice points within 1e-3 of a column's solved
+  // end while still outside the hull, so the Contains confirmation of
+  // each run end decides them.
+  const Shape flat{1001, 3};
+  const Hull sliver = Hull::Build(
+      {Vec3(0, 0, 0), Vec3(1000, 1, 0), Vec3(0, 2, 0), Vec3(999, 2, 0)}, 2);
+  IndexSet flat_raster(flat);
+  sliver.RasterizeInto(&flat_raster);
+  EXPECT_EQ(flat_raster.ToSortedLinearIds(), PerPointRaster(sliver, flat));
+
+  const Shape deep{1001, 3, 3};
+  const Hull wedge = Hull::Build({Vec3(0, 0, 0), Vec3(1000, 0, 1),
+                                  Vec3(0, 1, 1), Vec3(0, 0, 2),
+                                  Vec3(1000, 2, 2), Vec3(999, 1, 2)},
+                                 3);
+  IndexSet deep_raster(deep);
+  wedge.RasterizeInto(&deep_raster);
+  EXPECT_EQ(deep_raster.ToSortedLinearIds(), PerPointRaster(wedge, deep));
+  EXPECT_EQ(wedge.CountIntegerPoints(deep),
+            static_cast<int64_t>(deep_raster.size()));
 }
 
 TEST(HullTest, IntegerBounds) {
