@@ -2,7 +2,6 @@
 #define KONDO_ARRAY_DEBLOATED_ARRAY_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "array/data_array.h"
@@ -19,6 +18,9 @@ namespace kondo {
 /// densely packed payload holding only retained values (with a per-block
 /// popcount directory for O(1) rank lookups). Accessing a Null index yields
 /// the paper's "data missing" exception as `StatusCode::kDataMissing`.
+///
+/// This is the in-memory view only: the persisted form of `D_Θ` is a KDP
+/// package (pack/pack_writer.h writes one, PackReader::Unpack reads it).
 class DebloatedArray {
  public:
   /// Builds `D_Θ` from `array` by retaining exactly the indices in
@@ -48,12 +50,6 @@ class DebloatedArray {
 
   /// Fraction of payload eliminated, `1 - debloated/original`.
   double SizeReductionFraction() const;
-
-  /// Serialises to a ".kdd" debloated container payload file.
-  Status WriteFile(const std::string& path) const;
-
-  /// Parses a file written by WriteFile.
-  static StatusOr<DebloatedArray> ReadFile(const std::string& path);
 
  private:
   DebloatedArray() = default;

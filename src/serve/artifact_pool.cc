@@ -1,10 +1,6 @@
 #include "serve/artifact_pool.h"
 
 #include <utility>
-#include <vector>
-
-#include "array/debloated_array.h"
-#include "shard/shard_campaign.h"
 
 namespace kondo {
 namespace {
@@ -21,14 +17,6 @@ bool HasDotDotComponent(const std::string& name) {
     start = slash + 1;
   }
   return false;
-}
-
-/// True when the pool name addresses a KDP package.
-bool IsPackName(const std::string& name) {
-  const std::string suffix = ".kdp";
-  return name.size() > suffix.size() &&
-         name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-             0;
 }
 
 }  // namespace
@@ -60,28 +48,21 @@ StatusOr<std::shared_ptr<const std::string>> ArtifactPool::FetchSubsetPayload(
   }
   KONDO_ASSIGN_OR_RETURN(const std::string path, ResolvePath(request.artifact));
   KONDO_ASSIGN_OR_RETURN(const ShardArtifactInfo info, HashFileArtifact(path));
+  KONDO_ASSIGN_OR_RETURN(std::shared_ptr<PackReader> reader,
+                         OpenPack(request.artifact, path, info));
+  if (request.end > reader->shape().NumElements()) {
+    return Status(StatusCode::kOutOfRange,
+                  "range end " + std::to_string(request.end) +
+                      " exceeds element count " +
+                      std::to_string(reader->shape().NumElements()));
+  }
 
-  if (IsPackName(request.artifact)) {
-    // Packed artifact: serve straight from the chunked package, decoding
-    // only the chunks the range touches. The key carries the pack
-    // fingerprint (manifest CRC) on top of the whole-file hash, so a
-    // repacked package can never resolve to slices of its predecessor.
-    KONDO_ASSIGN_OR_RETURN(std::shared_ptr<PackReader> reader,
-                           OpenPack(request.artifact));
-    const SubsetKey key{request.artifact,  info.lineage_bytes,
-                        info.lineage_crc,  request.begin,
-                        request.end,       reader->pack_fingerprint()};
-    if (std::shared_ptr<const std::string> cached = cache_.Get(key)) {
-      return cached;
-    }
-    cache_.EvictStale(request.artifact, info.lineage_bytes, info.lineage_crc);
-
-    if (request.end > reader->shape().NumElements()) {
-      return Status(StatusCode::kOutOfRange,
-                    "range end " + std::to_string(request.end) +
-                        " exceeds element count " +
-                        std::to_string(reader->shape().NumElements()));
-    }
+  // Serve straight from the chunked package, decoding only the chunks the
+  // range touches.
+  const SubsetKey key{request.artifact, info.lineage_bytes,
+                      info.lineage_crc, request.begin,
+                      request.end,      reader->pack_fingerprint()};
+  return cache_.GetOrFill(key, [&]() -> StatusOr<std::string> {
     FetchSubsetResponse response;
     response.fingerprint_bytes = info.lineage_bytes;
     response.fingerprint_crc = info.lineage_crc;
@@ -90,46 +71,8 @@ StatusOr<std::shared_ptr<const std::string>> ArtifactPool::FetchSubsetPayload(
     KONDO_RETURN_IF_ERROR(reader->ReadRange(request.begin, request.end,
                                             &response.present,
                                             &response.values));
-    return cache_.Put(key, response.Encode());
-  }
-
-  const SubsetKey key{request.artifact, info.lineage_bytes, info.lineage_crc,
-                      request.begin, request.end};
-  if (std::shared_ptr<const std::string> cached = cache_.Get(key)) {
-    return cached;
-  }
-
-  // Miss: anything cached under an older fingerprint of this artifact is
-  // dead weight now — sweep it rather than waiting for LRU pressure.
-  cache_.EvictStale(request.artifact, info.lineage_bytes, info.lineage_crc);
-
-  KONDO_ASSIGN_OR_RETURN(const DebloatedArray array,
-                         DebloatedArray::ReadFile(path));
-  const int64_t total = array.shape().NumElements();
-  if (request.end > total) {
-    return Status(StatusCode::kOutOfRange,
-                  "range end " + std::to_string(request.end) +
-                      " exceeds element count " + std::to_string(total));
-  }
-
-  FetchSubsetResponse response;
-  response.fingerprint_bytes = info.lineage_bytes;
-  response.fingerprint_crc = info.lineage_crc;
-  response.begin = request.begin;
-  response.end = request.end;
-  response.present.reserve(static_cast<size_t>(request.end - request.begin));
-  for (int64_t linear = request.begin; linear < request.end; ++linear) {
-    StatusOr<double> value = array.At(array.shape().Delinearize(linear));
-    if (value.ok()) {
-      response.present.push_back(1);
-      response.values.push_back(*value);
-    } else if (value.status().code() == StatusCode::kDataMissing) {
-      response.present.push_back(0);
-    } else {
-      return value.status();
-    }
-  }
-  return cache_.Put(key, response.Encode());
+    return response.Encode();
+  });
 }
 
 StatusOr<std::shared_ptr<ProvenanceStore>> ArtifactPool::OpenStore(
@@ -161,10 +104,8 @@ StatusOr<std::shared_ptr<ProvenanceStore>> ArtifactPool::OpenStore(
 }
 
 StatusOr<std::shared_ptr<PackReader>> ArtifactPool::OpenPack(
-    const std::string& name) {
-  KONDO_ASSIGN_OR_RETURN(const std::string path, ResolvePath(name));
-  KONDO_ASSIGN_OR_RETURN(const ShardArtifactInfo info, HashFileArtifact(path));
-
+    const std::string& name, const std::string& path,
+    const ShardArtifactInfo& info) {
   MutexLock lock(packs_mu_);
   auto it = packs_.find(name);
   if (it != packs_.end()) {

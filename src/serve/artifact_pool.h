@@ -12,21 +12,23 @@
 #include "provenance/provenance_store.h"
 #include "serve/kpc.h"
 #include "serve/subset_cache.h"
+#include "shard/shard_campaign.h"
 
 namespace kondo {
 
 /// The artefacts a kondo daemon serves from: a flat pool directory of
-/// `.kdd` debloated arrays and `.kdp` packages (fetch-subset) and `.kel2`
-/// lineage stores (query-provenance), fronted by the fingerprint-keyed
-/// subset cache and pools of open ProvenanceStore / PackReader handles.
+/// `.kdp` packages (fetch-subset) and `.kel2` lineage stores
+/// (query-provenance), fronted by the fingerprint-keyed subset cache and
+/// pools of open ProvenanceStore / PackReader handles.
 ///
-/// Every fetch re-fingerprints the artifact file (the same byte-count +
-/// CRC32 a shard KSS `A` line records), so a pool file rewritten between
-/// requests misses the cache naturally and its older entries are swept as
-/// stale. The open-handle pools do the analogous check for KEL2 stores and
-/// KDP packages, reopening a handle whose file changed underneath it — for
-/// packages the subset-cache key additionally embeds the pack fingerprint
-/// (manifest CRC), so a repack can never serve stale cached slices.
+/// Every fetch fingerprints the package file once (the same byte-count +
+/// CRC32 a shard KSS `A` line records) and hands that fingerprint to the
+/// pack-handle pool, so a pool file rewritten between requests misses the
+/// cache naturally, its older entries are swept as stale, and its open
+/// handle is reopened. The subset-cache key additionally embeds the pack
+/// fingerprint (manifest CRC) of the handle that decodes the slice, so a
+/// repack can never serve stale cached slices. The store pool does the
+/// analogous check for KEL2 stores.
 class ArtifactPool {
  public:
   ArtifactPool(std::string root, int64_t cache_bytes);
@@ -37,20 +39,16 @@ class ArtifactPool {
   StatusOr<std::string> ResolvePath(const std::string& name) const;
 
   /// Builds (or serves from cache) the encoded FetchSubsetResponse payload
-  /// for the request. The returned bytes are shared with the cache: a hit
+  /// for the request against a pooled KDP package; kDataLoss when the file
+  /// is not one. The returned bytes are shared with the cache: a hit
   /// returns the identical string a miss inserted.
   StatusOr<std::shared_ptr<const std::string>> FetchSubsetPayload(
-      const FetchSubsetRequest& request) KONDO_EXCLUDES(stores_mu_);
+      const FetchSubsetRequest& request) KONDO_EXCLUDES(packs_mu_);
 
   /// Returns the open ProvenanceStore for a pooled `.kel2` name, opening
   /// or (on fingerprint change) reopening it.
   StatusOr<std::shared_ptr<ProvenanceStore>> OpenStore(
       const std::string& name) KONDO_EXCLUDES(stores_mu_);
-
-  /// Returns the open PackReader for a pooled `.kdp` name, opening or (on
-  /// fingerprint change, e.g. after a repack) reopening it.
-  StatusOr<std::shared_ptr<PackReader>> OpenPack(const std::string& name)
-      KONDO_EXCLUDES(packs_mu_);
 
   SubsetCacheStats cache_stats() const { return cache_.stats(); }
   int64_t stores_open() const KONDO_EXCLUDES(stores_mu_);
@@ -70,6 +68,14 @@ class ArtifactPool {
     uint32_t fingerprint_crc = 0;
     std::shared_ptr<PackReader> handle;
   };
+
+  /// Returns the open PackReader for pooled `name` (resolved to `path`,
+  /// whose file the caller fingerprinted as `info`), opening or (on
+  /// fingerprint change, e.g. after a repack) reopening it.
+  StatusOr<std::shared_ptr<PackReader>> OpenPack(const std::string& name,
+                                                 const std::string& path,
+                                                 const ShardArtifactInfo& info)
+      KONDO_EXCLUDES(packs_mu_);
 
   const std::string root_;
   SubsetCache cache_;

@@ -24,7 +24,7 @@ struct ServeOptions {
   /// (port 0 picks a free one; bound_address() reports it).
   SocketAddress address;
 
-  /// Directory of served artifacts (`.kdd`, `.kel2`) and campaign output.
+  /// Directory of served artifacts (`.kdp`, `.kel2`) and campaign output.
   std::string pool_root = ".";
 
   /// Campaign worker threads; 0 = hardware concurrency.
@@ -55,9 +55,9 @@ struct ServeOptions {
 };
 
 /// The kondo daemon: accepts KPC connections, serving fetch-subset from
-/// the fingerprint-keyed subset cache, query-provenance from the open
-/// KEL2 store pool, submit-campaign onto a shared ThreadPool behind
-/// admission control, and stats.
+/// pooled KDP packages through the fingerprint-keyed subset cache,
+/// query-provenance from the open KEL2 store pool, submit-campaign onto a
+/// shared ThreadPool behind admission control, and stats.
 ///
 /// Threading: one accept thread plus one thread per live session; campaign
 /// jobs run on the shared worker pool. Stop() (idempotent, also run by the

@@ -8,17 +8,60 @@ namespace kondo {
 SubsetCache::SubsetCache(int64_t capacity_bytes)
     : capacity_(capacity_bytes > 0 ? capacity_bytes : 0) {}
 
-std::shared_ptr<const std::string> SubsetCache::Get(const SubsetKey& key) {
-  MutexLock lock(mu_);
+std::shared_ptr<const std::string> SubsetCache::LookupLocked(
+    const SubsetKey& key) {
   const auto it = index_.find(key);
   if (it == index_.end()) {
-    ++stats_.misses;
     return nullptr;
   }
-  ++stats_.hits;
   // Refresh recency: splice the entry to the front of the LRU list.
   lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->payload;
+}
+
+StatusOr<std::shared_ptr<const std::string>> SubsetCache::GetOrFill(
+    const SubsetKey& key, const FillFn& fill) {
+  std::shared_ptr<Flight> flight;
+  {
+    MutexLock lock(mu_);
+    if (std::shared_ptr<const std::string> cached = LookupLocked(key)) {
+      ++stats_.hits;
+      return cached;
+    }
+    if (const auto it = flights_.find(key); it != flights_.end()) {
+      // Another session is loading this slice: share its result.
+      flight = it->second;
+      while (!flight->done) {
+        fill_done_.Wait(mu_);
+      }
+      if (!flight->status.ok()) {
+        return flight->status;
+      }
+      ++stats_.hits;
+      return flight->payload;
+    }
+    ++stats_.misses;
+    // Anything cached under an older fingerprint of this artifact is dead
+    // weight now — sweep it rather than waiting for LRU pressure.
+    EvictStaleLocked(key.artifact, key.fingerprint_bytes, key.fingerprint_crc);
+    flight = std::make_shared<Flight>();
+    flights_.emplace(key, flight);
+  }
+
+  StatusOr<std::string> filled = fill();
+  MutexLock lock(mu_);
+  flights_.erase(key);
+  flight->done = true;
+  if (filled.ok()) {
+    flight->payload = InsertLocked(key, *std::move(filled));
+  } else {
+    flight->status = filled.status();
+  }
+  fill_done_.NotifyAll();
+  if (!flight->status.ok()) {
+    return flight->status;
+  }
+  return flight->payload;
 }
 
 void SubsetCache::EvictForLocked(int64_t need) {
@@ -32,15 +75,10 @@ void SubsetCache::EvictForLocked(int64_t need) {
   }
 }
 
-std::shared_ptr<const std::string> SubsetCache::Put(const SubsetKey& key,
-                                                    std::string payload) {
-  MutexLock lock(mu_);
-  if (const auto it = index_.find(key); it != index_.end()) {
-    // Raced with another session loading the same slice: keep the first
-    // insertion (byte-identical by construction) and refresh recency.
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->payload;
-  }
+std::shared_ptr<const std::string> SubsetCache::InsertLocked(
+    const SubsetKey& key, std::string payload) {
+  // `key` is not cached: only its one flight inserts it, and a flight
+  // starts only on a lookup miss.
   auto value = std::make_shared<const std::string>(std::move(payload));
   const int64_t size = static_cast<int64_t>(value->size());
   if (size > capacity_) {
@@ -56,11 +94,9 @@ std::shared_ptr<const std::string> SubsetCache::Put(const SubsetKey& key,
   return value;
 }
 
-int64_t SubsetCache::EvictStale(const std::string& artifact,
-                                int64_t fingerprint_bytes,
-                                uint32_t fingerprint_crc) {
-  MutexLock lock(mu_);
-  int64_t dropped = 0;
+void SubsetCache::EvictStaleLocked(const std::string& artifact,
+                                   int64_t fingerprint_bytes,
+                                   uint32_t fingerprint_crc) {
   // The index is ordered by artifact first, so the artifact's entries form
   // one contiguous key range.
   auto it = index_.lower_bound(SubsetKey{artifact, INT64_MIN, 0, INT64_MIN,
@@ -74,11 +110,9 @@ int64_t SubsetCache::EvictStale(const std::string& artifact,
     stats_.bytes -= static_cast<int64_t>(it->second->payload->size());
     --stats_.entries;
     ++stats_.stale_evictions;
-    ++dropped;
     lru_.erase(it->second);
     it = index_.erase(it);
   }
-  return dropped;
 }
 
 SubsetCacheStats SubsetCache::stats() const {

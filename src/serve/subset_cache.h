@@ -2,30 +2,34 @@
 #define KONDO_SERVE_SUBSET_CACHE_H_
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
 #include <string>
 
+#include "common/statusor.h"
 #include "common/thread_annotations.h"
 
 namespace kondo {
 
-/// Cache key for one served D_Θ slice: the artifact's pool name, its
+/// Cache key for one served D_Θ slice: the package's pool name, its
 /// whole-file fingerprint (byte count + CRC32 — exactly what the shard KSS
 /// `A` line records for sealed lineage stores), the requested linear
-/// element range, and — for `.kdp` packages — the pack fingerprint (the
-/// KDP manifest CRC). Keying on the fingerprints makes coherence
-/// structural: an artifact rewritten or repacked on disk hashes to a
-/// different key, so stale bytes are unreachable rather than specially
-/// invalidated.
+/// element range, and the pack fingerprint (the KDP manifest CRC of the
+/// handle the slice is read from). Keying on the fingerprints makes
+/// coherence structural: a package rewritten or repacked on disk hashes to
+/// a different key, so stale bytes are unreachable rather than specially
+/// invalidated. The pack fingerprint guards the window between hashing the
+/// file and opening it: a package rewritten in between still keys by the
+/// handle that actually decodes the slice.
 struct SubsetKey {
   std::string artifact;
   int64_t fingerprint_bytes = 0;
   uint32_t fingerprint_crc = 0;
   int64_t begin = 0;
   int64_t end = 0;
-  uint32_t pack_crc = 0;  // KDP manifest CRC; 0 for plain `.kdd` artifacts.
+  uint32_t pack_crc = 0;  // KDP manifest CRC.
 
   friend bool operator<(const SubsetKey& a, const SubsetKey& b) {
     if (a.artifact != b.artifact) return a.artifact < b.artifact;
@@ -64,27 +68,27 @@ struct SubsetCacheStats {
 /// Eviction is deterministic: strict least-recently-used order, evicting
 /// until the new entry fits. An entry larger than the whole capacity is
 /// served but never cached.
+///
+/// Fills are single-flight: GetOrFill runs one load per key however many
+/// sessions miss on it at once, so a burst of identical requests costs one
+/// decode and counts exactly one miss.
 class SubsetCache {
  public:
+  using FillFn = std::function<StatusOr<std::string>()>;
+
   explicit SubsetCache(int64_t capacity_bytes);
 
-  /// Returns the cached payload and refreshes recency, or nullptr (counts
-  /// a miss).
-  std::shared_ptr<const std::string> Get(const SubsetKey& key)
-      KONDO_EXCLUDES(mu_);
-
-  /// Inserts (or refreshes) the payload for `key`, evicting LRU entries as
-  /// needed. Returns the (possibly pre-existing) cached value.
-  std::shared_ptr<const std::string> Put(const SubsetKey& key,
-                                         std::string payload)
-      KONDO_EXCLUDES(mu_);
-
-  /// Drops every entry of `artifact` whose fingerprint differs from the
-  /// given one; returns the count. Called on each miss-load so entries of
+  /// Returns the cached payload for `key`, or runs `fill` to build and
+  /// insert it. Callers that arrive while another caller's fill for the
+  /// same key is running wait for it and share its result; they count as
+  /// hits, the caller that runs `fill` as the one miss. A miss first
+  /// drops the artifact's entries under other fingerprints, so entries of
   /// overwritten artifacts don't squat in the LRU until capacity pressure
   /// finds them.
-  int64_t EvictStale(const std::string& artifact, int64_t fingerprint_bytes,
-                     uint32_t fingerprint_crc) KONDO_EXCLUDES(mu_);
+  /// A failed fill caches nothing and hands its status to every waiter.
+  StatusOr<std::shared_ptr<const std::string>> GetOrFill(const SubsetKey& key,
+                                                         const FillFn& fill)
+      KONDO_EXCLUDES(mu_);
 
   SubsetCacheStats stats() const KONDO_EXCLUDES(mu_);
 
@@ -94,14 +98,35 @@ class SubsetCache {
     std::shared_ptr<const std::string> payload;
   };
   using LruList = std::list<Entry>;
+  /// One in-progress fill; read and written only under mu_.
+  struct Flight {
+    bool done = false;
+    Status status;
+    std::shared_ptr<const std::string> payload;
+  };
 
+  /// Must hold mu_. The cached payload (recency refreshed) or nullptr.
+  std::shared_ptr<const std::string> LookupLocked(const SubsetKey& key)
+      KONDO_REQUIRES(mu_);
+  /// Must hold mu_. Inserts the payload for the uncached `key`, evicting
+  /// LRU entries as needed, and returns it. A payload larger than the
+  /// whole capacity is returned uncached.
+  std::shared_ptr<const std::string> InsertLocked(const SubsetKey& key,
+                                                  std::string payload)
+      KONDO_REQUIRES(mu_);
+  /// Must hold mu_. Drops every entry of `artifact` whose fingerprint
+  /// differs from the given one.
+  void EvictStaleLocked(const std::string& artifact, int64_t fingerprint_bytes,
+                        uint32_t fingerprint_crc) KONDO_REQUIRES(mu_);
   /// Must hold mu_. Evicts from the LRU tail until `need` bytes fit.
   void EvictForLocked(int64_t need) KONDO_REQUIRES(mu_);
 
   const int64_t capacity_;
   mutable Mutex mu_;
+  CondVar fill_done_;  // Signalled (with mu_) when a Flight completes.
   LruList lru_ KONDO_GUARDED_BY(mu_);  // Front = most recently used.
   std::map<SubsetKey, LruList::iterator> index_ KONDO_GUARDED_BY(mu_);
+  std::map<SubsetKey, std::shared_ptr<Flight>> flights_ KONDO_GUARDED_BY(mu_);
   SubsetCacheStats stats_ KONDO_GUARDED_BY(mu_);
 };
 

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
 namespace kondo {
 namespace {
@@ -93,33 +92,33 @@ TEST(CliTest, MakeDataChunked) {
 
 TEST(CliTest, DebloatAndReplayFlow) {
   const std::string kdf = TempPath("cli_flow.kdf");
-  const std::string kdd = TempPath("cli_flow.kdd");
+  const std::string kdp = TempPath("cli_flow.kdp");
   ASSERT_EQ(RunCli("make-data LDC " + kdf).exit_code, 0);
   const CommandResult debloat = RunCli("debloat LDC --data " + kdf +
-                                       " --out " + kdd + " --seed 3");
+                                       " --out " + kdp + " --seed 3");
   EXPECT_EQ(debloat.exit_code, 0) << debloat.output;
   EXPECT_NE(debloat.output.find("smaller"), std::string::npos);
 
-  const CommandResult inspect = RunCli("inspect " + kdd);
-  EXPECT_EQ(inspect.exit_code, 0);
-  EXPECT_NE(inspect.output.find("debloated"), std::string::npos);
+  const CommandResult stats = RunCli("pack-stats " + kdp);
+  EXPECT_EQ(stats.exit_code, 0) << stats.output;
+  EXPECT_NE(stats.output.find("retained"), std::string::npos);
 
-  const CommandResult replay = RunCli("replay LDC " + kdd + " 3 4");
+  const CommandResult replay = RunCli("replay LDC " + kdp + " 3 4");
   EXPECT_EQ(replay.exit_code, 0) << replay.output;
   EXPECT_NE(replay.output.find("0 misses"), std::string::npos);
 }
 
 TEST(CliTest, ReplayWithRemoteFallback) {
   const std::string kdf = TempPath("cli_remote.kdf");
-  const std::string kdd = TempPath("cli_remote.kdd");
+  const std::string kdp = TempPath("cli_remote.kdp");
   ASSERT_EQ(RunCli("make-data CS " + kdf).exit_code, 0);
   // A deliberately weak campaign leaves holes for the remote to fill.
-  ASSERT_EQ(RunCli("debloat CS --data " + kdf + " --out " + kdd +
+  ASSERT_EQ(RunCli("debloat CS --data " + kdf + " --out " + kdp +
                    " --max-iter 100")
                 .exit_code,
             0);
   const CommandResult replay =
-      RunCli("replay CS " + kdd + " 1 2 --remote " + kdf);
+      RunCli("replay CS " + kdp + " 1 2 --remote " + kdf);
   EXPECT_EQ(replay.exit_code, 0) << replay.output;
   EXPECT_NE(replay.output.find("remote fetches"), std::string::npos);
 }
@@ -185,11 +184,11 @@ TEST(CliTest, UnknownProgramFails) {
 
 TEST(CliTest, ReplayWrongArityFails) {
   const std::string kdf = TempPath("cli_arity.kdf");
-  const std::string kdd = TempPath("cli_arity.kdd");
+  const std::string kdp = TempPath("cli_arity.kdp");
   ASSERT_EQ(RunCli("make-data LDC " + kdf).exit_code, 0);
   ASSERT_EQ(
-      RunCli("debloat LDC --data " + kdf + " --out " + kdd).exit_code, 0);
-  const CommandResult result = RunCli("replay LDC " + kdd + " 1 2 3");
+      RunCli("debloat LDC --data " + kdf + " --out " + kdp).exit_code, 0);
+  const CommandResult result = RunCli("replay LDC " + kdp + " 1 2 3");
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_NE(result.output.find("expected 2 parameters"), std::string::npos);
 }
@@ -229,6 +228,11 @@ TEST(CliTest, GlobalUsageListsProvenance) {
   EXPECT_NE(result.output.find("provenance compact"), std::string::npos);
   EXPECT_NE(result.output.find("provenance query"), std::string::npos);
   EXPECT_NE(result.output.find("provenance stats"), std::string::npos);
+  // The package is the only on-disk D_Θ: no verbs convert to or from
+  // another form.
+  for (const char* retired : {"kondo pack ", "kondo unpack", "kondo repack"}) {
+    EXPECT_EQ(result.output.find(retired), std::string::npos) << retired;
+  }
 }
 
 TEST(CliTest, ArgumentErrorPrintsPerCommandUsage) {
@@ -315,11 +319,11 @@ TEST(CliTest, ServeRejectsGarbageIntFlags) {
 
 TEST(CliTest, BlastRejectsGarbageIntFlags) {
   for (const std::string args :
-       {"blast --socket /tmp/kondo_cli_none.sock --artifact a.kdd"
+       {"blast --socket /tmp/kondo_cli_none.sock --artifact a.kdp"
         " --clients 1.5",
-        "blast --socket /tmp/kondo_cli_none.sock --artifact a.kdd"
+        "blast --socket /tmp/kondo_cli_none.sock --artifact a.kdp"
         " --requests zero",
-        "blast --socket /tmp/kondo_cli_none.sock --artifact a.kdd"
+        "blast --socket /tmp/kondo_cli_none.sock --artifact a.kdp"
         " --clients -4"}) {
     const CommandResult result = RunCli(args);
     EXPECT_EQ(result.exit_code, 2) << args << "\n" << result.output;
@@ -336,52 +340,42 @@ TEST(CliTest, ServeRequiresExactlyOneListenAddress) {
 }
 
 TEST(CliTest, PackUnpackRepackFlow) {
+  // Debloat writes exactly one KDP package, byte-identical at every
+  // --jobs setting.
   const std::string kdf = TempPath("cli_pack.kdf");
-  const std::string kdd = TempPath("cli_pack.kdd");
+  const std::string serial = TempPath("cli_pack_j1.kdp");
+  const std::string parallel = TempPath("cli_pack_j4.kdp");
   ASSERT_EQ(RunCli("make-data LDC " + kdf).exit_code, 0);
   const CommandResult debloat =
-      RunCli("debloat LDC --data " + kdf + " --out " + kdd);
+      RunCli("debloat LDC --data " + kdf + " --out " + serial + " --jobs 1");
   ASSERT_EQ(debloat.exit_code, 0) << debloat.output;
-  // Debloat emits the packaged companion alongside the .kdd.
   EXPECT_NE(debloat.output.find("packed"), std::string::npos)
       << debloat.output;
-  const std::string companion = TempPath("cli_pack.kdp");
+  ASSERT_EQ(RunCli("debloat LDC --data " + kdf + " --out " + parallel +
+                   " --jobs 4")
+                .exit_code,
+            0);
+  EXPECT_FALSE(ReadAllBytes(serial).empty());
+  EXPECT_EQ(ReadAllBytes(serial), ReadAllBytes(parallel));
 
-  // An explicit pack of the same .kdd is byte-identical to the companion.
-  const std::string kdp = TempPath("cli_pack_explicit.kdp");
-  const CommandResult pack = RunCli("pack " + kdd + " " + kdp);
-  ASSERT_EQ(pack.exit_code, 0) << pack.output;
-  EXPECT_NE(pack.output.find("packed"), std::string::npos);
-  EXPECT_EQ(ReadAllBytes(companion), ReadAllBytes(kdp));
-
-  const CommandResult stats = RunCli("pack-stats " + kdp);
-  ASSERT_EQ(stats.exit_code, 0) << stats.output;
-  EXPECT_NE(stats.output.find("chunks"), std::string::npos) << stats.output;
-  EXPECT_NE(stats.output.find("fingerprint"), std::string::npos)
-      << stats.output;
-
-  // Unpack reproduces the original .kdd byte for byte.
-  const std::string back = TempPath("cli_pack_back.kdd");
-  const CommandResult unpack = RunCli("unpack " + kdp + " " + back);
-  ASSERT_EQ(unpack.exit_code, 0) << unpack.output;
-  EXPECT_EQ(ReadAllBytes(kdd), ReadAllBytes(back));
-
-  // Repack against unchanged data reuses every chunk and changes nothing.
-  const CommandResult repack = RunCli("repack " + kdp + " --data " + kdd);
-  ASSERT_EQ(repack.exit_code, 0) << repack.output;
-  EXPECT_NE(repack.output.find("reused"), std::string::npos)
-      << repack.output;
-  EXPECT_EQ(ReadAllBytes(companion), ReadAllBytes(kdp));
+  for (const std::string& kdp : {serial, parallel}) {
+    const CommandResult stats = RunCli("pack-stats " + kdp);
+    ASSERT_EQ(stats.exit_code, 0) << stats.output;
+    EXPECT_NE(stats.output.find("chunks"), std::string::npos) << stats.output;
+    EXPECT_NE(stats.output.find("fingerprint"), std::string::npos)
+        << stats.output;
+  }
 }
 
 TEST(CliTest, PackRejectsGarbageIntFlags) {
-  const std::string kdd = TempPath("cli_pack_flags.kdd");
-  for (const std::string& args : std::vector<std::string>{
-           "pack " + kdd + " out.kdp --chunk banana",
-           "pack " + kdd + " out.kdp --chunk -2",
-           "pack " + kdd + " out.kdp --jobs 1.5",
-           "unpack in.kdp out.kdd --jobs zero",
-           "repack in.kdp --data " + kdd + " --jobs 0"}) {
+  // One malformed positive-integer flag per verb that parses one (serve
+  // and blast have their own tests): exit 2 before any work starts.
+  for (const std::string args :
+       {"debloat LDC --data in.kdf --out out.kdp --jobs 1.5",
+        "replay LDC in.kdp 1 2 --fetch-retries zero",
+        "evaluate LDC --max-evals -2", "fuzz CS --out s.kcs --max-iter many",
+        "worker --socket /tmp/kondo_cli_none.sock --jobs 0",
+        "client submit CS --socket /tmp/kondo_cli_none.sock --max-evals x"}) {
     const CommandResult result = RunCli(args);
     EXPECT_EQ(result.exit_code, 2) << args << "\n" << result.output;
     EXPECT_NE(result.output.find("invalid"), std::string::npos) << args;
@@ -390,15 +384,13 @@ TEST(CliTest, PackRejectsGarbageIntFlags) {
 
 TEST(CliTest, UnpackSurfacesCorruptionNamingTheChunk) {
   const std::string kdf = TempPath("cli_corrupt.kdf");
-  const std::string kdd = TempPath("cli_corrupt.kdd");
   const std::string kdp = TempPath("cli_corrupt.kdp");
   ASSERT_EQ(RunCli("make-data LDC " + kdf).exit_code, 0);
-  ASSERT_EQ(RunCli("debloat LDC --data " + kdf + " --out " + kdd).exit_code,
+  ASSERT_EQ(RunCli("debloat LDC --data " + kdf + " --out " + kdp).exit_code,
             0);
-  ASSERT_EQ(RunCli("pack " + kdd + " " + kdp).exit_code, 0);
 
-  // Flip one payload byte (past the rank-2 header) and unpack: the failure
-  // must name the damaged chunk.
+  // Flip one payload byte (past the rank-2 header) and replay: decoding the
+  // package must fail naming the damaged chunk.
   std::string bytes = ReadAllBytes(kdp);
   ASSERT_GT(bytes.size(), 60u);
   bytes[45] = static_cast<char>(bytes[45] ^ 0x5a);
@@ -408,11 +400,10 @@ TEST(CliTest, UnpackSurfacesCorruptionNamingTheChunk) {
     std::fwrite(bytes.data(), 1, bytes.size(), out);
     std::fclose(out);
   }
-  const CommandResult unpack =
-      RunCli("unpack " + kdp + " " + TempPath("cli_corrupt_back.kdd"));
-  EXPECT_EQ(unpack.exit_code, 1) << unpack.output;
-  EXPECT_NE(unpack.output.find("KDP chunk"), std::string::npos)
-      << unpack.output;
+  const CommandResult replay = RunCli("replay LDC " + kdp + " 3 4");
+  EXPECT_EQ(replay.exit_code, 1) << replay.output;
+  EXPECT_NE(replay.output.find("KDP chunk"), std::string::npos)
+      << replay.output;
 }
 
 TEST(CliTest, ProvenanceQueryRejectsBadRange) {

@@ -236,20 +236,18 @@ TEST(PackRoundTripTest, AllDTypesUnpackIdentically) {
   }
 }
 
-TEST(PackRoundTripTest, UnpackedKddIsByteIdenticalToOriginal) {
+TEST(PackRoundTripTest, RepackingTheUnpackedArrayIsByteIdentical) {
   const DebloatedArray array = MakeArray(Shape{16, 16}, DType::kFloat64, 2);
-  const std::string kdd_a = TempPath("ident_a.kdd");
-  const std::string kdd_b = TempPath("ident_b.kdd");
-  ASSERT_TRUE(array.WriteFile(kdd_a).ok());
+  const std::string kdp_a = TempPath("ident_a.kdp");
+  const std::string kdp_b = TempPath("ident_b.kdp");
+  ASSERT_TRUE(WriteKdpFile(kdp_a, array).ok());
 
-  const std::string kdp = TempPath("ident.kdp");
-  ASSERT_TRUE(WriteKdpFile(kdp, array).ok());
-  StatusOr<std::unique_ptr<PackReader>> reader = PackReader::Open(kdp);
+  StatusOr<std::unique_ptr<PackReader>> reader = PackReader::Open(kdp_a);
   ASSERT_TRUE(reader.ok()) << reader.status();
   const StatusOr<DebloatedArray> unpacked = (*reader)->Unpack();
   ASSERT_TRUE(unpacked.ok()) << unpacked.status();
-  ASSERT_TRUE(unpacked->WriteFile(kdd_b).ok());
-  EXPECT_EQ(ReadFileBytes(kdd_a), ReadFileBytes(kdd_b));
+  ASSERT_TRUE(WriteKdpFile(kdp_b, *unpacked).ok());
+  EXPECT_EQ(ReadFileBytes(kdp_a), ReadFileBytes(kdp_b));
 }
 
 TEST(PackRoundTripTest, SpecialFloatValuesSurvive) {

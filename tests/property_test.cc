@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,8 @@
 #include "common/rng.h"
 #include "core/kondo.h"
 #include "geom/hull.h"
+#include "pack/pack_reader.h"
+#include "pack/pack_writer.h"
 #include "workloads/registry.h"
 
 namespace kondo {
@@ -272,22 +276,52 @@ TEST(RobustnessProperty, KdfReaderSurvivesRandomGarbage) {
 }
 
 TEST(RobustnessProperty, DebloatedReaderSurvivesRandomGarbage) {
+  // The KDP reader faces remote input (served pools, shipped packages):
+  // random bytes, half behind a valid magic, and truncated prefixes of a
+  // valid package must all end in an error status from Open or ReadRange
+  // — never a crash or an allocation sized by a garbage length.
+  const std::string path = ::testing::TempDir() + "/garbage_fuzz.kdp";
+  const auto expect_rejected = [&path](const std::string& bytes) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    StatusOr<std::unique_ptr<PackReader>> reader = PackReader::Open(path);
+    Status status = reader.status();
+    if (reader.ok()) {
+      std::vector<uint8_t> present;
+      std::vector<double> values;
+      status = (*reader)->ReadRange(0, (*reader)->shape().NumElements(),
+                                    &present, &values);
+    }
+    EXPECT_FALSE(status.ok()) << bytes.size() << " bytes accepted";
+  };
+
   Rng rng(13);
-  const std::string path = ::testing::TempDir() + "/garbage_fuzz.kdd";
   for (int trial = 0; trial < 40; ++trial) {
     const int64_t size = rng.UniformInt(0, 200);
     std::string bytes;
     if (rng.Bernoulli(0.5)) {
-      bytes = "KDD1";
+      bytes = "KDP1";
     }
     for (int64_t i = static_cast<int64_t>(bytes.size()); i < size; ++i) {
       bytes.push_back(static_cast<char>(rng.UniformInt(0, 255)));
     }
-    std::ofstream(path, std::ios::binary) << bytes;
-    StatusOr<DebloatedArray> array = DebloatedArray::ReadFile(path);
-    if (array.ok()) {
-      (void)array->At(Index{0, 0});
-    }
+    expect_rejected(bytes);
+  }
+
+  DataArray data(Shape{6, 6}, DType::kFloat64);
+  data.FillPattern(5);
+  IndexSet retained(data.shape());
+  for (int64_t linear = 0; linear < 36; linear += 2) {
+    retained.InsertLinear(linear);
+  }
+  const std::string valid_path = ::testing::TempDir() + "/fuzz_valid.kdp";
+  ASSERT_TRUE(
+      WriteKdpFile(valid_path, DebloatedArray::FromDataArray(data, retained))
+          .ok());
+  std::ifstream in(valid_path, std::ios::binary);
+  const std::string valid((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  for (size_t cut = 0; cut < valid.size(); ++cut) {
+    expect_rejected(valid.substr(0, cut));
   }
 }
 

@@ -3,8 +3,8 @@
 //   kondo programs
 //   kondo spec <Kondofile>
 //   kondo make-data <program> <out.kdf> [--chunked] [--seed N]
-//   kondo inspect <file.kdf|file.kdd>
-//   kondo debloat <program> --data <in.kdf> --out <out.kdd>
+//   kondo inspect <file.kdf>
+//   kondo debloat <program> --data <in.kdf> --out <out.kdp>
 //                 [--seed N] [--audited] [--max-iter N] [--max-evals N]
 //                 [--jobs N] [--shards N] [--shard-dir DIR]
 //                 [--workers N | --connect ADDR ...] [--plan-weights KEL2]
@@ -12,7 +12,7 @@
 //                 [--seed N] [--max-iter N] [--max-evals N]
 //                 [--jobs N] [--shards N] [--shard-dir DIR]
 //                 [--workers N | --connect ADDR ...] [--plan-weights KEL2]
-//   kondo replay <program> <in.kdd> <param>... [--remote <orig.kdf>]
+//   kondo replay <program> <in.kdp> <param>... [--remote <orig.kdf>]
 //       [--fetch-retries <n>] [--fetch-backoff-ms <ms>]
 //   kondo evaluate <program> [--seed N] [--map] [--jobs N] [--shards N]
 //                 [--max-evals N]
@@ -20,9 +20,6 @@
 //               [--max-evals N] [--resume <state.kcs>] [--jobs N]
 //               [--shards N]
 //   kondo carve <program> --state <state.kcs> [--center X] [--boundary X]
-//   kondo pack <in.kdd> <out.kdp> [--chunk N] [--jobs N]
-//   kondo unpack <in.kdp> <out.kdd> [--jobs N]
-//   kondo repack <pkg.kdp> --data <updated.kdd> [--out <out.kdp>] [--jobs N]
 //   kondo pack-stats <pkg.kdp>
 //   kondo provenance compact <in.kel> <out.kel2> [--block N]
 //   kondo provenance query <store> --range A:B [--file F] [--runs]
@@ -99,9 +96,9 @@ constexpr CommandHelp kCommandHelp[] = {
     {"spec", "  kondo spec <Kondofile>\n"},
     {"make-data",
      "  kondo make-data <program> <out.kdf> [--chunked] [--seed N]\n"},
-    {"inspect", "  kondo inspect <file.kdf|file.kdd>\n"},
+    {"inspect", "  kondo inspect <file.kdf>\n"},
     {"debloat",
-     "  kondo debloat <program> --data <in.kdf> --out <out.kdd>\n"
+     "  kondo debloat <program> --data <in.kdf> --out <out.kdp>\n"
      "                [--seed N] [--audited] [--max-iter N] [--max-evals N]\n"
      "                [--jobs N] [--shards N] [--shard-dir DIR]\n"
      "                [--workers N | --connect ADDR ...]\n"
@@ -112,7 +109,7 @@ constexpr CommandHelp kCommandHelp[] = {
      "                [--workers N | --connect ADDR ...]\n"
      "                [--plan-weights KEL2]\n"},
     {"replay",
-     "  kondo replay <program> <in.kdd> <param>... [--remote <orig.kdf>]\n"
+     "  kondo replay <program> <in.kdp> <param>... [--remote <orig.kdf>]\n"
      "      [--fetch-retries <n>] [--fetch-backoff-ms <ms>]\n"},
     {"evaluate",
      "  kondo evaluate <program> [--seed N] [--map] [--jobs N]\n"
@@ -124,12 +121,6 @@ constexpr CommandHelp kCommandHelp[] = {
     {"carve",
      "  kondo carve <program> --state <state.kcs> [--center X]\n"
      "              [--boundary X]\n"},
-    {"pack",
-     "  kondo pack <in.kdd> <out.kdp> [--chunk N] [--jobs N]\n"},
-    {"unpack", "  kondo unpack <in.kdp> <out.kdd> [--jobs N]\n"},
-    {"repack",
-     "  kondo repack <pkg.kdp> --data <updated.kdd> [--out <out.kdp>]\n"
-     "               [--jobs N]\n"},
     {"pack-stats", "  kondo pack-stats <pkg.kdp>\n"},
     {"provenance",
      "  kondo provenance compact <in.kel> <out.kel2> [--block N]\n"
@@ -228,21 +219,12 @@ const char* StopReason(const FuzzStats& stats) {
   return "max iterations";
 }
 
-/// Derives the `.kdp` package path companion to a `.kdd` container path.
-std::string KdpPathFor(const std::string& kdd_path) {
-  const std::string suffix = ".kdd";
-  if (kdd_path.size() > suffix.size() &&
-      kdd_path.compare(kdd_path.size() - suffix.size(), suffix.size(),
-                       suffix) == 0) {
-    return kdd_path.substr(0, kdd_path.size() - suffix.size()) + ".kdp";
-  }
-  return kdd_path + ".kdp";
-}
-
-/// Packs `array` to `path` and prints the one-line summary the pack
-/// commands and the debloat pipeline share.
+/// Packs `array` to `path` with `jobs` codec workers and prints a
+/// one-line summary.
 int WritePackage(const std::string& path, const DebloatedArray& array,
-                 const PackOptions& options) {
+                 int jobs) {
+  PackOptions options;
+  options.jobs = jobs;
   StatusOr<PackStats> stats = WriteKdpFile(path, array, options);
   if (!stats.ok()) {
     std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
@@ -344,27 +326,6 @@ int CmdMakeData(std::vector<std::string> args) {
 }
 
 int CmdInspect(const std::string& path) {
-  if (path.size() > 4 && path.substr(path.size() - 4) == ".kdd") {
-    StatusOr<DebloatedArray> array = DebloatedArray::ReadFile(path);
-    if (!array.ok()) {
-      std::fprintf(stderr, "%s\n", array.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("debloated array (KDD)\n");
-    std::printf("shape:     %s\n", array->shape().ToString().c_str());
-    std::printf("dtype:     %s\n",
-                std::string(DTypeName(array->dtype())).c_str());
-    std::printf("retained:  %lld of %lld elements (%.1f%%)\n",
-                static_cast<long long>(array->retained_count()),
-                static_cast<long long>(array->shape().NumElements()),
-                100.0 * static_cast<double>(array->retained_count()) /
-                    static_cast<double>(array->shape().NumElements()));
-    std::printf("payload:   %lld bytes (original %lld, %.1f%% smaller)\n",
-                static_cast<long long>(array->DebloatedPayloadBytes()),
-                static_cast<long long>(array->OriginalPayloadBytes()),
-                100.0 * array->SizeReductionFraction());
-    return 0;
-  }
   StatusOr<KdfReader> reader = KdfReader::Open(path);
   if (!reader.ok()) {
     std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
@@ -560,7 +521,8 @@ StatusOr<ShardedRunResult> RunShardedFromCli(const MultiFileProgram& program,
 }
 
 /// Multi-file debloat: one campaign over Θ (optionally sharded), one
-/// synthesised source array + packaged .kdd per data file under `out_dir`.
+/// synthesised source array + `<file>.kdp` package per data file under
+/// `out_dir`.
 int CmdDebloatMultiFile(std::unique_ptr<MultiFileProgram> program,
                         const std::string& out_dir,
                         const std::string& shard_dir, uint64_t seed, int jobs,
@@ -612,22 +574,17 @@ int CmdDebloatMultiFile(std::unique_ptr<MultiFileProgram> program,
     array.FillPattern(seed + static_cast<uint64_t>(f));
     DebloatedArray debloated =
         PackageDebloated(array, result.per_file_approx[static_cast<size_t>(f)]);
-    const std::string path =
-        out_dir + "/" + std::string(program->file_name(f)) + ".kdd";
-    if (Status status = debloated.WriteFile(path); !status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s: %lld -> %lld bytes (%.1f%% smaller, %d hulls)\n",
-                path.c_str(),
+    const std::string file_name(program->file_name(f));
+    std::printf("debloated %s: %lld -> %lld bytes (%.1f%% smaller, %d "
+                "hulls)\n",
+                file_name.c_str(),
                 static_cast<long long>(debloated.OriginalPayloadBytes()),
                 static_cast<long long>(debloated.DebloatedPayloadBytes()),
                 100.0 * debloated.SizeReductionFraction(),
                 result.per_file_carve_stats[static_cast<size_t>(f)]
                     .final_hulls);
-    PackOptions pack_options;
-    pack_options.jobs = jobs;
-    if (int rc = WritePackage(KdpPathFor(path), debloated, pack_options);
+    if (int rc = WritePackage(out_dir + "/" + file_name + ".kdp", debloated,
+                              jobs);
         rc != 0) {
       return rc;
     }
@@ -741,99 +698,11 @@ int CmdDebloat(std::vector<std::string> args) {
     return 1;
   }
   DebloatedArray debloated = PackageDebloated(*array, approx);
-  if (Status status = debloated.WriteFile(out_path); !status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote %s: %lld -> %lld bytes (%.1f%% smaller)\n",
-              out_path.c_str(),
+  std::printf("debloated: %lld -> %lld bytes (%.1f%% smaller)\n",
               static_cast<long long>(debloated.OriginalPayloadBytes()),
               static_cast<long long>(debloated.DebloatedPayloadBytes()),
               100.0 * debloated.SizeReductionFraction());
-  PackOptions pack_options;
-  pack_options.jobs = jobs;
-  return WritePackage(KdpPathFor(out_path), debloated, pack_options);
-}
-
-int CmdPack(std::vector<std::string> args) {
-  int jobs = 0;
-  int64_t chunk = 0;
-  if (!JobsFrom(&args, &jobs) ||
-      TakePositiveInt(&args, "--chunk", &chunk) == FlagParse::kBad ||
-      args.size() != 2) {
-    return UsageFor("pack");
-  }
-  StatusOr<DebloatedArray> array = DebloatedArray::ReadFile(args[0]);
-  if (!array.ok()) {
-    std::fprintf(stderr, "%s\n", array.status().ToString().c_str());
-    return 1;
-  }
-  PackOptions options;
-  options.jobs = jobs;
-  if (chunk > 0) {
-    options.chunk_dims.assign(
-        static_cast<size_t>(array->shape().rank()), chunk);
-  }
-  return WritePackage(args[1], *array, options);
-}
-
-int CmdUnpack(std::vector<std::string> args) {
-  int jobs = 0;
-  if (!JobsFrom(&args, &jobs) || args.size() != 2) {
-    return UsageFor("unpack");
-  }
-  StatusOr<std::unique_ptr<PackReader>> reader = PackReader::Open(args[0]);
-  if (!reader.ok()) {
-    std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
-    return 1;
-  }
-  StatusOr<DebloatedArray> array = (*reader)->Unpack(nullptr, jobs);
-  if (!array.ok()) {
-    std::fprintf(stderr, "%s\n", array.status().ToString().c_str());
-    return 1;
-  }
-  if (Status status = array->WriteFile(args[1]); !status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
-  std::printf("unpacked %s -> %s: shape %s, %lld retained elements\n",
-              args[0].c_str(), args[1].c_str(),
-              array->shape().ToString().c_str(),
-              static_cast<long long>(array->retained_count()));
-  return 0;
-}
-
-int CmdRepack(std::vector<std::string> args) {
-  const std::string data_path = TakeFlagValue(&args, "--data");
-  std::string out_path = TakeFlagValue(&args, "--out");
-  int jobs = 0;
-  if (!JobsFrom(&args, &jobs) || args.size() != 1 || data_path.empty()) {
-    return UsageFor("repack");
-  }
-  if (out_path.empty()) {
-    out_path = args[0];  // In-place repack (atomic tmp+rename commit).
-  }
-  StatusOr<DebloatedArray> updated = DebloatedArray::ReadFile(data_path);
-  if (!updated.ok()) {
-    std::fprintf(stderr, "%s\n", updated.status().ToString().c_str());
-    return 1;
-  }
-  PackOptions options;
-  options.jobs = jobs;
-  StatusOr<PackStats> stats =
-      RepackKdpFile(args[0], out_path, *updated, options);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("repacked %s -> %s: %lld of %lld chunks reused, %lld "
-              "re-encoded, %lld bytes on disk\n",
-              args[0].c_str(), out_path.c_str(),
-              static_cast<long long>(stats->chunks_reused),
-              static_cast<long long>(stats->total_chunks),
-              static_cast<long long>(stats->chunks_reencoded),
-              static_cast<long long>(stats->file_bytes));
-  return 0;
+  return WritePackage(out_path, debloated, jobs);
 }
 
 int CmdPackStats(std::vector<std::string> args) {
@@ -906,7 +775,9 @@ int CmdReplay(std::vector<std::string> args) {
     std::fprintf(stderr, "unknown program: %s\n", args[0].c_str());
     return 1;
   }
-  StatusOr<DebloatedArray> array = DebloatedArray::ReadFile(args[1]);
+  StatusOr<std::unique_ptr<PackReader>> reader = PackReader::Open(args[1]);
+  StatusOr<DebloatedArray> array =
+      reader.ok() ? (*reader)->Unpack() : reader.status();
   if (!array.ok()) {
     std::fprintf(stderr, "%s\n", array.status().ToString().c_str());
     return 1;
@@ -1778,15 +1649,6 @@ int Main(int argc, char** argv) {
   }
   if (command == "carve") {
     return CmdCarve(std::move(args));
-  }
-  if (command == "pack") {
-    return CmdPack(std::move(args));
-  }
-  if (command == "unpack") {
-    return CmdUnpack(std::move(args));
-  }
-  if (command == "repack") {
-    return CmdRepack(std::move(args));
   }
   if (command == "pack-stats") {
     return CmdPackStats(std::move(args));
