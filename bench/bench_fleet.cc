@@ -237,14 +237,14 @@ WorkloadResult RunWorkload(const std::string& name, const std::string& root,
                 static_cast<unsigned long long>(leg.fingerprint));
   }
 
-  // Kill-one-worker crash schedule: connection ordinal 0 (the first worker
-  // link) tears its second write — the first kRunShard frame — mid-frame.
-  // The coordinator must retire that worker, re-dispatch the shard to a
-  // survivor, and still converge to the identical merged bytes.
+  // Kill-one-worker crash schedule: the first worker link to attempt its
+  // second write — the campaign's first kRunShard frame, after that
+  // link's kHello — tears it mid-frame. The coordinator must retire that
+  // worker, re-dispatch the shard to a survivor, and still converge to
+  // the identical merged bytes.
   {
     NetFaultPlan plan;
-    plan.drop_connection = 0;
-    plan.drop_after_writes = 2;
+    plan.drop_after_writes = 1;
     plan.short_frame_bytes = 5;
     FaultInjectingNetEnv net(NetEnv::Default(), plan);
     const std::vector<SocketAddress> subset(endpoints.begin(),

@@ -12,26 +12,40 @@
 // concurrency pipelines independent requests, not how many cores the CI
 // box has.
 //
+// Model-off leg. A second daemon with no fetch sleep serves a 32x32 and
+// a 2048x2048 package to one closed-loop client re-fetching one window,
+// so all but the first request are cache hits and p50 is the hit latency.
+// A hit must cost in proportion to what it returns, not to the size of
+// the package it comes from: the leg waits until both packages are
+// outside the artifact pool's racy window (a settled pool, as in
+// production) and gates the 2048x2048 hit p50 within 2x of the 32x32 one.
+//
 // Gates: >= 4x aggregate throughput at 8 clients vs 1; every response
 // byte-identical within and across clients (the wire-level cache
 // contract); a direct hit-vs-miss raw-frame comparison; zero failed
-// requests anywhere.
+// requests anywhere; model-off hit p50 at 2048x2048 <= 2x that at 32x32.
 //
 // Knobs: KONDO_BENCH_SERVE_REQUESTS      requests per client (default 400)
 //        KONDO_BENCH_SERVE_SLEEP_MICROS  per-fetch model sleep (default 500)
 //        KONDO_BENCH_SERVE_RANGE         fetched element range (default 256)
 //        KONDO_BENCH_SERVE_REPS          timing reps, best-of (default 2)
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "array/data_array.h"
 #include "array/debloated_array.h"
 #include "array/index_set.h"
 #include "bench/bench_util.h"
+#include "common/stopwatch.h"
 #include "pack/pack_writer.h"
+#include "serve/artifact_pool.h"
 #include "serve/blast.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -48,12 +62,18 @@ struct LoadRun {
   double speedup = 1.0;  // Aggregate rps vs the 1-client leg.
 };
 
-/// Packs a 32x32 debloated array with every third element retained.
-bool WriteArtifact(const std::string& path) {
-  DataArray data(Shape({32, 32}));
+/// One model-off hit-latency measurement.
+struct HitRun {
+  int64_t side = 0;  // The package is side x side.
+  BlastReport report;
+};
+
+/// Packs a side x side debloated array with every third element retained.
+bool WriteArtifact(const std::string& path, int64_t side) {
+  DataArray data(Shape({side, side}));
   data.FillPattern(/*seed=*/42);
   IndexSet retained(data.shape());
-  for (int64_t linear = 0; linear < 1024; linear += 3) {
+  for (int64_t linear = 0; linear < side * side; linear += 3) {
     retained.InsertLinear(linear);
   }
   const DebloatedArray debloated =
@@ -67,7 +87,8 @@ bool WriteArtifact(const std::string& path) {
   return true;
 }
 
-void WriteJson(const std::vector<LoadRun>& runs, int64_t requests,
+void WriteJson(const std::vector<LoadRun>& runs,
+               const std::vector<HitRun>& hit_runs, int64_t requests,
                int64_t sleep_micros, int64_t range, bool hit_identical,
                const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -103,6 +124,19 @@ void WriteJson(const std::vector<LoadRun>& runs, int64_t requests,
                  run.report.responses_identical ? "true" : "false",
                  i + 1 < runs.size() ? "," : "");
   }
+  std::fprintf(f, "  ],\n  \"model_off_hits\": [\n");
+  for (size_t i = 0; i < hit_runs.size(); ++i) {
+    const HitRun& run = hit_runs[i];
+    std::fprintf(f,
+                 "    {\"side\": %lld, \"ok\": %lld, \"failed\": %lld, "
+                 "\"p50_us\": %lld, \"p99_us\": %lld}%s\n",
+                 static_cast<long long>(run.side),
+                 static_cast<long long>(run.report.ok_requests),
+                 static_cast<long long>(run.report.failed_requests),
+                 static_cast<long long>(run.report.p50_micros),
+                 static_cast<long long>(run.report.p99_micros),
+                 i + 1 < hit_runs.size() ? "," : "");
+  }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
@@ -117,14 +151,18 @@ int Run() {
 
   const std::string pool = "bench_serve_pool";
   (void)std::remove((pool + "/main.kdp").c_str());
+  (void)std::remove((pool + "/large.kdp").c_str());
   (void)std::remove((pool + "/kondo.sock").c_str());
+  (void)std::remove((pool + "/model_off.sock").c_str());
   const Status pool_made = EnsureCampaignDirectory(pool);
   if (!pool_made.ok()) {
     std::fprintf(stderr, "cannot create %s: %s\n", pool.c_str(),
                  pool_made.ToString().c_str());
     return 1;
   }
-  if (!WriteArtifact(pool + "/main.kdp")) {
+  const Stopwatch since_written;
+  if (!WriteArtifact(pool + "/main.kdp", 32) ||
+      !WriteArtifact(pool + "/large.kdp", 2048)) {
     return 1;
   }
 
@@ -213,7 +251,54 @@ int Run() {
               static_cast<long long>(stats.cache_misses),
               static_cast<long long>(stats.sessions_accepted),
               static_cast<long long>(stats.requests_total));
-  WriteJson(runs, requests, sleep_micros, range, hit_identical,
+
+  // Model-off leg, on a settled pool.
+  const int64_t settle_micros =
+      ArtifactPool::kRacyWindowNanos / 1000 + 250'000 -
+      since_written.ElapsedMicros();
+  if (settle_micros > 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(settle_micros));
+  }
+  ServeOptions model_off;
+  model_off.address.unix_path = pool + "/model_off.sock";
+  model_off.pool_root = pool;
+  KondoServer off_server(model_off);
+  const Status off_started = off_server.Start();
+  if (!off_started.ok()) {
+    std::fprintf(stderr, "model-off serve start failed: %s\n",
+                 off_started.ToString().c_str());
+    return 1;
+  }
+  std::vector<HitRun> hit_runs;
+  for (const auto& [name, side] :
+       {std::pair<const char*, int64_t>{"main.kdp", 32},
+        std::pair<const char*, int64_t>{"large.kdp", 2048}}) {
+    BlastOptions blast;
+    blast.address = off_server.bound_address();
+    blast.artifact = name;
+    blast.requests = static_cast<int>(requests);
+    blast.begin = 0;
+    blast.end = range;
+    StatusOr<BlastReport> report = RunBlast(blast);
+    if (!report.ok()) {
+      std::fprintf(stderr, "model-off blast failed: %s\n",
+                   report.status().ToString().c_str());
+      return 1;
+    }
+    hit_runs.push_back(HitRun{side, *report});
+    std::printf("model-off %lldx%lld: %6lld ok  hit p50/p99 %lld/%lld us\n",
+                static_cast<long long>(side), static_cast<long long>(side),
+                static_cast<long long>(report->ok_requests),
+                static_cast<long long>(report->p50_micros),
+                static_cast<long long>(report->p99_micros));
+  }
+  off_server.Stop();
+  const ServeStatsSnapshot off_stats = off_server.Stats();
+  std::printf("model-off: %lld fingerprint hashes for %lld fetches\n",
+              static_cast<long long>(off_stats.fingerprint_hashes),
+              static_cast<long long>(off_stats.cache_hits +
+                                     off_stats.cache_misses));
+  WriteJson(runs, hit_runs, requests, sleep_micros, range, hit_identical,
             "BENCH_serve.json");
 
   // Acceptance gates.
@@ -239,6 +324,25 @@ int Run() {
                    run.speedup);
       ok = false;
     }
+  }
+  for (const HitRun& run : hit_runs) {
+    if (run.report.failed_requests != 0 || !run.report.responses_identical) {
+      std::fprintf(stderr, "FAIL: model-off %lldx%lld leg: %lld failed, %s\n",
+                   static_cast<long long>(run.side),
+                   static_cast<long long>(run.side),
+                   static_cast<long long>(run.report.failed_requests),
+                   run.report.responses_identical ? "identical" : "DIVERGENT");
+      ok = false;
+    }
+  }
+  const int64_t small_p50 = std::max<int64_t>(hit_runs[0].report.p50_micros, 1);
+  if (hit_runs[1].report.p50_micros > 2 * small_p50) {
+    std::fprintf(stderr,
+                 "FAIL: model-off hit p50 %lld us at 2048x2048 > 2x the "
+                 "%lld us at 32x32\n",
+                 static_cast<long long>(hit_runs[1].report.p50_micros),
+                 static_cast<long long>(small_p50));
+    ok = false;
   }
   return ok ? 0 : 1;
 }

@@ -14,25 +14,22 @@ constexpr char kInjectedDrop[] = "injected connection drop";
 }  // namespace
 
 /// A Connection decorator that forwards IO to the wrapped connection until
-/// its scheduled drop point, then fails every later operation. Single
-/// owner-thread use, like the connection it wraps.
+/// it claims the env's scheduled drop, then fails every later operation.
+/// Single owner-thread use, like the connection it wraps.
 class FaultInjectingConnection : public Connection {
  public:
   FaultInjectingConnection(FaultInjectingNetEnv* env,
-                           std::unique_ptr<Connection> base, bool faulted,
-                           int64_t drop_after_writes,
+                           std::unique_ptr<Connection> base,
                            int64_t short_frame_bytes)
       : env_(env),
         base_(std::move(base)),
-        faulted_(faulted),
-        drop_after_writes_(drop_after_writes),
         short_frame_bytes_(short_frame_bytes) {}
 
   Status WriteFully(const void* data, size_t size) override {
     if (dropped_) {
       return DataLossError(kInjectedDrop);
     }
-    if (faulted_ && writes_ == drop_after_writes_) {
+    if (env_->ClaimDrop(writes_)) {
       // The drop fires on this write: transmit the scheduled prefix (a
       // torn frame on the peer's wire) and half-close so the peer's next
       // read sees EOF or a short frame — exactly what a worker killed
@@ -45,7 +42,6 @@ class FaultInjectingConnection : public Connection {
       }
       base_->ShutdownWrite();
       dropped_ = true;
-      env_->RecordFault();
       return DataLossError(kInjectedDrop);
     }
     ++writes_;
@@ -69,8 +65,6 @@ class FaultInjectingConnection : public Connection {
  private:
   FaultInjectingNetEnv* const env_;
   const std::unique_ptr<Connection> base_;
-  const bool faulted_;
-  const int64_t drop_after_writes_;
   const int64_t short_frame_bytes_;
   int64_t writes_ = 0;
   bool dropped_ = false;
@@ -117,25 +111,20 @@ StatusOr<std::unique_ptr<Connection>> FaultInjectingNetEnv::Connect(
 
 std::unique_ptr<Connection> FaultInjectingNetEnv::Wrap(
     std::unique_ptr<Connection> conn) {
-  int64_t ordinal = 0;
-  {
-    MutexLock lock(mu_);
-    ordinal = connections_++;
+  return std::make_unique<FaultInjectingConnection>(this, std::move(conn),
+                                                    plan_.short_frame_bytes);
+}
+
+bool FaultInjectingNetEnv::ClaimDrop(int64_t writes) {
+  if (writes != plan_.drop_after_writes) {
+    return false;
   }
-  const bool faulted = plan_.drop_connection == ordinal;
-  return std::make_unique<FaultInjectingConnection>(
-      this, std::move(conn), faulted, plan_.drop_after_writes,
-      plan_.short_frame_bytes);
-}
-
-void FaultInjectingNetEnv::RecordFault() {
   MutexLock lock(mu_);
+  if (faults_ > 0) {
+    return false;  // Another connection got there first.
+  }
   ++faults_;
-}
-
-int64_t FaultInjectingNetEnv::connections() const {
-  MutexLock lock(mu_);
-  return connections_;
+  return true;
 }
 
 int64_t FaultInjectingNetEnv::faults_injected() const {

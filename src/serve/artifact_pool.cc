@@ -1,5 +1,9 @@
 #include "serve/artifact_pool.h"
 
+#include <sys/stat.h>
+
+#include <algorithm>
+#include <chrono>
 #include <utility>
 
 namespace kondo {
@@ -17,6 +21,19 @@ bool HasDotDotComponent(const std::string& name) {
     start = slash + 1;
   }
   return false;
+}
+
+/// Wall-clock nanoseconds, the clock file timestamps are taken from.
+int64_t WallClockNanos() {
+  // kondo-lint: allow(R1) decides only whether to re-hash, not what is served
+  const auto since_epoch = std::chrono::system_clock::now().time_since_epoch();
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(since_epoch)
+      .count();
+}
+
+int64_t Nanos(const struct timespec& ts) {
+  return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 +
+         static_cast<int64_t>(ts.tv_nsec);
 }
 
 }  // namespace
@@ -40,113 +57,123 @@ StatusOr<std::string> ArtifactPool::ResolvePath(
   return root_ + "/" + name;
 }
 
+template <typename Handle>
+StatusOr<ArtifactPool::Entry<Handle>> ArtifactPool::Revalidate(
+    HandlePool<Handle>& pool, const std::string& name) {
+  KONDO_ASSIGN_OR_RETURN(const std::string path, ResolvePath(name));
+  // The clock is read before stat(): any change the stat() cannot see yet
+  // is stamped no earlier than `now` minus the clock's coarseness.
+  const int64_t now = WallClockNanos();
+  struct stat st = {};
+  if (::stat(path.c_str(), &st) != 0) {
+    return NotFoundError("cannot open: " + path);  // As HashFileArtifact.
+  }
+  FileStamp stamp;
+  stamp.dev = static_cast<uint64_t>(st.st_dev);
+  stamp.ino = static_cast<uint64_t>(st.st_ino);
+  stamp.size = static_cast<int64_t>(st.st_size);
+  stamp.mtime_nanos = Nanos(st.st_mtim);
+  stamp.ctime_nanos = Nanos(st.st_ctim);
+  {
+    MutexLock lock(pool.mu);
+    auto it = pool.entries.find(name);
+    if (it != pool.entries.end() && !it->second.racy &&
+        it->second.stamp == stamp) {
+      return it->second;
+    }
+  }
+
+  KONDO_ASSIGN_OR_RETURN(const ShardArtifactInfo fingerprint,
+                         HashFileArtifact(path));
+  fingerprint_hashes_.fetch_add(1);
+  const bool racy = std::max(stamp.mtime_nanos, stamp.ctime_nanos) >=
+                    now - kRacyWindowNanos;
+
+  MutexLock lock(pool.mu);
+  auto it = pool.entries.find(name);
+  if (it != pool.entries.end()) {
+    Entry<Handle>& entry = it->second;
+    if (entry.fingerprint.lineage_bytes == fingerprint.lineage_bytes &&
+        entry.fingerprint.lineage_crc == fingerprint.lineage_crc) {
+      entry.stamp = stamp;
+      entry.racy = racy;
+      return entry;
+    }
+    // Rewritten underneath the open handle: its manifest, decode memo and
+    // cached descriptors describe bytes that no longer exist.
+    pool.entries.erase(it);
+    ++pool.reopened;
+  }
+  KONDO_ASSIGN_OR_RETURN(std::unique_ptr<Handle> opened, Handle::Open(path));
+  Entry<Handle> entry;
+  entry.stamp = stamp;
+  entry.fingerprint = fingerprint;
+  entry.racy = racy;
+  entry.handle = std::shared_ptr<Handle>(std::move(opened));
+  pool.entries[name] = entry;
+  return entry;
+}
+
 StatusOr<std::shared_ptr<const std::string>> ArtifactPool::FetchSubsetPayload(
     const FetchSubsetRequest& request) {
   if (request.begin < 0 || request.end < request.begin) {
     return Status(StatusCode::kInvalidArgument,
                   "bad element range: want 0 <= begin <= end");
   }
-  KONDO_ASSIGN_OR_RETURN(const std::string path, ResolvePath(request.artifact));
-  KONDO_ASSIGN_OR_RETURN(const ShardArtifactInfo info, HashFileArtifact(path));
-  KONDO_ASSIGN_OR_RETURN(std::shared_ptr<PackReader> reader,
-                         OpenPack(request.artifact, path, info));
-  if (request.end > reader->shape().NumElements()) {
+  KONDO_ASSIGN_OR_RETURN(const Entry<PackReader> pack,
+                         Revalidate(packs_, request.artifact));
+  const ShardArtifactInfo& info = pack.fingerprint;
+  PackReader& reader = *pack.handle;
+  if (request.end > reader.shape().NumElements()) {
     return Status(StatusCode::kOutOfRange,
                   "range end " + std::to_string(request.end) +
                       " exceeds element count " +
-                      std::to_string(reader->shape().NumElements()));
+                      std::to_string(reader.shape().NumElements()));
   }
 
   // Serve straight from the chunked package, decoding only the chunks the
   // range touches.
   const SubsetKey key{request.artifact, info.lineage_bytes,
                       info.lineage_crc, request.begin,
-                      request.end,      reader->pack_fingerprint()};
+                      request.end,      reader.pack_fingerprint()};
   return cache_.GetOrFill(key, [&]() -> StatusOr<std::string> {
     FetchSubsetResponse response;
     response.fingerprint_bytes = info.lineage_bytes;
     response.fingerprint_crc = info.lineage_crc;
     response.begin = request.begin;
     response.end = request.end;
-    KONDO_RETURN_IF_ERROR(reader->ReadRange(request.begin, request.end,
-                                            &response.present,
-                                            &response.values));
+    KONDO_RETURN_IF_ERROR(reader.ReadRange(request.begin, request.end,
+                                           &response.present,
+                                           &response.values));
     return response.Encode();
   });
 }
 
 StatusOr<std::shared_ptr<ProvenanceStore>> ArtifactPool::OpenStore(
     const std::string& name) {
-  KONDO_ASSIGN_OR_RETURN(const std::string path, ResolvePath(name));
-  KONDO_ASSIGN_OR_RETURN(const ShardArtifactInfo info, HashFileArtifact(path));
-
-  MutexLock lock(stores_mu_);
-  auto it = stores_.find(name);
-  if (it != stores_.end()) {
-    if (it->second.fingerprint_bytes == info.lineage_bytes &&
-        it->second.fingerprint_crc == info.lineage_crc) {
-      return it->second.handle;
-    }
-    // The pool file changed underneath the open handle: its decode memo
-    // and cached descriptors describe bytes that no longer exist.
-    stores_.erase(it);
-    ++stores_reopened_;
-  }
-  KONDO_ASSIGN_OR_RETURN(std::unique_ptr<ProvenanceStore> opened,
-                         ProvenanceStore::Open(path));
-  OpenStoreEntry entry;
-  entry.fingerprint_bytes = info.lineage_bytes;
-  entry.fingerprint_crc = info.lineage_crc;
-  entry.handle = std::shared_ptr<ProvenanceStore>(std::move(opened));
-  auto handle = entry.handle;
-  stores_[name] = std::move(entry);
-  return handle;
-}
-
-StatusOr<std::shared_ptr<PackReader>> ArtifactPool::OpenPack(
-    const std::string& name, const std::string& path,
-    const ShardArtifactInfo& info) {
-  MutexLock lock(packs_mu_);
-  auto it = packs_.find(name);
-  if (it != packs_.end()) {
-    if (it->second.fingerprint_bytes == info.lineage_bytes &&
-        it->second.fingerprint_crc == info.lineage_crc) {
-      return it->second.handle;
-    }
-    // Repacked (or rewritten) underneath the open handle: its manifest and
-    // decoded-chunk cache describe bytes that no longer exist.
-    packs_.erase(it);
-    ++packs_reopened_;
-  }
-  KONDO_ASSIGN_OR_RETURN(std::unique_ptr<PackReader> opened,
-                         PackReader::Open(path));
-  OpenPackEntry entry;
-  entry.fingerprint_bytes = info.lineage_bytes;
-  entry.fingerprint_crc = info.lineage_crc;
-  entry.handle = std::shared_ptr<PackReader>(std::move(opened));
-  auto handle = entry.handle;
-  packs_[name] = std::move(entry);
-  return handle;
+  KONDO_ASSIGN_OR_RETURN(Entry<ProvenanceStore> store,
+                         Revalidate(stores_, name));
+  return std::move(store.handle);
 }
 
 int64_t ArtifactPool::stores_open() const {
-  MutexLock lock(stores_mu_);
-  return static_cast<int64_t>(stores_.size());
+  MutexLock lock(stores_.mu);
+  return static_cast<int64_t>(stores_.entries.size());
 }
 
 int64_t ArtifactPool::stores_reopened() const {
-  MutexLock lock(stores_mu_);
-  return stores_reopened_;
+  MutexLock lock(stores_.mu);
+  return stores_.reopened;
 }
 
 int64_t ArtifactPool::packs_open() const {
-  MutexLock lock(packs_mu_);
-  return static_cast<int64_t>(packs_.size());
+  MutexLock lock(packs_.mu);
+  return static_cast<int64_t>(packs_.entries.size());
 }
 
 int64_t ArtifactPool::packs_reopened() const {
-  MutexLock lock(packs_mu_);
-  return packs_reopened_;
+  MutexLock lock(packs_.mu);
+  return packs_.reopened;
 }
 
 }  // namespace kondo

@@ -445,6 +445,9 @@ std::string ServeStatsSnapshot::Encode() const {
   KpcAppendI64(lineage_bytes_written, &out);
   KpcAppendI64(stores_open, &out);
   KpcAppendI64(stores_reopened, &out);
+  KpcAppendI64(packs_open, &out);
+  KpcAppendI64(packs_reopened, &out);
+  KpcAppendI64(fingerprint_hashes, &out);
   for (int v = 0; v < kKpcVerbCount; ++v) {
     AppendVerbLatency(verbs[v], &out);
   }
@@ -475,6 +478,9 @@ StatusOr<ServeStatsSnapshot> ServeStatsSnapshot::Decode(
   KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.lineage_bytes_written));
   KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.stores_open));
   KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.stores_reopened));
+  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.packs_open));
+  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.packs_reopened));
+  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.fingerprint_hashes));
   for (int v = 0; v < kKpcVerbCount; ++v) {
     KONDO_RETURN_IF_ERROR(ReadVerbLatency(&cur, &s.verbs[v]));
   }

@@ -248,9 +248,12 @@ struct ServeStatsSnapshot {
   int64_t campaign_inflight = 0;     // Running right now.
   int64_t lineage_bytes_written = 0;  // Kel2Writer::bytes_written() totals.
 
-  // Open-store pool.
+  // Open-handle pools and their revalidation.
   int64_t stores_open = 0;
   int64_t stores_reopened = 0;  // Stale fingerprint forced a reopen.
+  int64_t packs_open = 0;
+  int64_t packs_reopened = 0;      // Stale fingerprint forced a reopen.
+  int64_t fingerprint_hashes = 0;  // Whole-file hashes, both pools.
 
   VerbLatency verbs[kKpcVerbCount];
 

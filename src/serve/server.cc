@@ -358,6 +358,9 @@ ServeStatsSnapshot KondoServer::Stats() const {
   snapshot.cache_capacity_bytes = cache.capacity_bytes;
   snapshot.stores_open = artifacts_.stores_open();
   snapshot.stores_reopened = artifacts_.stores_reopened();
+  snapshot.packs_open = artifacts_.packs_open();
+  snapshot.packs_reopened = artifacts_.packs_reopened();
+  snapshot.fingerprint_hashes = artifacts_.fingerprint_hashes();
   return snapshot;
 }
 

@@ -339,7 +339,7 @@ TEST(CliTest, ServeRequiresExactlyOneListenAddress) {
       2);
 }
 
-TEST(CliTest, PackUnpackRepackFlow) {
+TEST(CliTest, DebloatPackageIsByteIdenticalAcrossJobs) {
   // Debloat writes exactly one KDP package, byte-identical at every
   // --jobs setting.
   const std::string kdf = TempPath("cli_pack.kdf");
@@ -367,7 +367,7 @@ TEST(CliTest, PackUnpackRepackFlow) {
   }
 }
 
-TEST(CliTest, PackRejectsGarbageIntFlags) {
+TEST(CliTest, RejectsGarbageIntFlags) {
   // One malformed positive-integer flag per verb that parses one (serve
   // and blast have their own tests): exit 2 before any work starts.
   for (const std::string args :
@@ -382,7 +382,7 @@ TEST(CliTest, PackRejectsGarbageIntFlags) {
   }
 }
 
-TEST(CliTest, UnpackSurfacesCorruptionNamingTheChunk) {
+TEST(CliTest, ReplaySurfacesCorruptionNamingTheChunk) {
   const std::string kdf = TempPath("cli_corrupt.kdf");
   const std::string kdp = TempPath("cli_corrupt.kdp");
   ASSERT_EQ(RunCli("make-data LDC " + kdf).exit_code, 0);

@@ -245,13 +245,13 @@ TEST(FleetCampaignTest, KilledWorkerConnectionIsReDispatched) {
   ASSERT_TRUE(EnsureCampaignDirectory(dir).ok());
   std::vector<std::unique_ptr<FleetWorker>> workers = StartWorkers(dir, 2);
 
-  // Coordinator-side fault: connection ordinal 0 (the first worker link)
-  // tears its second write — the first kRunShard frame — mid-frame. The
-  // worker sees a torn stream, the coordinator's next read fails, and the
-  // shard must be re-dispatched to the surviving worker.
+  // Coordinator-side fault: the first worker link to attempt its second
+  // write — its kHello is the first, so this is the campaign's first
+  // kRunShard frame, whichever link the scheduler picks — tears it
+  // mid-frame. The worker sees a torn stream, the coordinator's next read
+  // fails, and the shard must be re-dispatched to the surviving worker.
   NetFaultPlan plan;
-  plan.drop_connection = 0;
-  plan.drop_after_writes = 2;
+  plan.drop_after_writes = 1;
   plan.short_frame_bytes = 5;
   FaultInjectingNetEnv net(NetEnv::Default(), plan);
 

@@ -4,6 +4,7 @@
 // identity, stale-fingerprint invalidation, campaign admission control,
 // and clean shutdown with jobs still pending.
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 
@@ -141,6 +142,9 @@ TEST(KpcCodecTest, StatsRoundTrip) {
   stats.cache_hits = 10;
   stats.cache_misses = 2;
   stats.campaigns_completed = 5;
+  stats.packs_open = 1;
+  stats.packs_reopened = 2;
+  stats.fingerprint_hashes = 3;
   stats.verbs[kVerbFetchSubset].count = 12;
   stats.verbs[kVerbFetchSubset].total_micros = 3400;
   stats.verbs[kVerbFetchSubset].max_micros = 900;
@@ -149,6 +153,9 @@ TEST(KpcCodecTest, StatsRoundTrip) {
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->cache_hits, 10);
   EXPECT_EQ(decoded->campaigns_completed, 5);
+  EXPECT_EQ(decoded->packs_open, 1);
+  EXPECT_EQ(decoded->packs_reopened, 2);
+  EXPECT_EQ(decoded->fingerprint_hashes, 3);
   EXPECT_EQ(decoded->verbs[kVerbFetchSubset].count, 12);
   EXPECT_EQ(decoded->verbs[kVerbFetchSubset].buckets[10], 12);
 }
@@ -918,6 +925,184 @@ TEST_F(ServeTest, BlastSeesIdenticalResponsesAcrossClients) {
   const ServeStatsSnapshot stats = server_->Stats();
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, 100);
   EXPECT_EQ(stats.cache_misses, 1);  // One load, 99 identical hits.
+}
+
+// ---------------------------------------------------------------------------
+// Pool revalidation: one stat() per request, one hash per settled open.
+
+/// Sleeps until files written before the call are outside the pool's racy
+/// window, so their stamps vouch for their bytes.
+void WaitOutRacyWindow() {
+  std::this_thread::sleep_for(
+      std::chrono::nanoseconds(ArtifactPool::kRacyWindowNanos) +
+      std::chrono::milliseconds(250));
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::string bytes;
+  std::FILE* in = std::fopen(path.c_str(), "rb");
+  if (in == nullptr) return bytes;
+  char buf[4096];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) bytes.append(buf, n);
+  std::fclose(in);
+  return bytes;
+}
+
+/// Overwrites `path` in place (same inode, no truncation) with a valid
+/// package of a different array whose encoding has exactly the same size,
+/// then puts the file's mtime back: only ctime records the change.
+void RewriteInPlaceKeepingMtime(const std::string& path) {
+  struct stat before = {};
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
+  const std::string old_bytes = ReadBytes(path);
+  std::string new_bytes;
+  const std::string scratch = path + ".candidate";
+  for (uint64_t seed = 100; seed < 164 && new_bytes.empty(); ++seed) {
+    WritePoolPack(scratch, seed);
+    const std::string candidate = ReadBytes(scratch);
+    if (candidate.size() == old_bytes.size() && candidate != old_bytes) {
+      new_bytes = candidate;
+    }
+  }
+  std::remove(scratch.c_str());
+  ASSERT_FALSE(new_bytes.empty()) << "no same-size repack candidate";
+
+  std::FILE* out = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(out, nullptr);
+  ASSERT_EQ(std::fwrite(new_bytes.data(), 1, new_bytes.size(), out),
+            new_bytes.size());
+  ASSERT_EQ(std::fclose(out), 0);
+  const struct timespec times[2] = {{0, UTIME_OMIT}, before.st_mtim};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
+
+  struct stat after = {};
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  ASSERT_EQ(after.st_ino, before.st_ino);
+  ASSERT_EQ(after.st_size, before.st_size);
+  ASSERT_EQ(after.st_mtim.tv_sec, before.st_mtim.tv_sec);
+  ASSERT_EQ(after.st_mtim.tv_nsec, before.st_mtim.tv_nsec);
+}
+
+TEST_F(ServeTest, SettledPoolFilesAreHashedOncePerOpen) {
+  StartServer(ServeOptions{});
+  WaitOutRacyWindow();
+  auto client = Client();
+  ASSERT_NE(client, nullptr);
+  for (int i = 0; i < 100; ++i) {
+    FetchSubsetRequest fetch;
+    fetch.artifact = "main.kdp";
+    fetch.begin = (i % 8) * 8;  // 8 distinct windows: 8 misses, 92 hits.
+    fetch.end = fetch.begin + 8;
+    ASSERT_TRUE(client->FetchSubset(fetch).ok()) << "fetch " << i;
+  }
+  for (int i = 0; i < 10; ++i) {
+    QueryRequest query;
+    query.store = "trace.kel2";
+    query.file_id = 1;
+    query.begin = i * 8;
+    query.end = query.begin + 16;
+    ASSERT_TRUE(client->QueryProvenance(query).ok()) << "query " << i;
+  }
+  const StatusOr<ServeStatsSnapshot> stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->cache_misses, 8);
+  EXPECT_EQ(stats->cache_hits, 92);
+  EXPECT_EQ(stats->fingerprint_hashes, 2);  // One per pool file.
+  EXPECT_EQ(stats->packs_open, 1);
+  EXPECT_EQ(stats->stores_open, 1);
+  EXPECT_EQ(stats->packs_reopened, 0);
+  EXPECT_EQ(stats->stores_reopened, 0);
+  server_->Stop();
+}
+
+TEST_F(ServeTest, InPlaceRewriteWithRestoredMtimeIsDetected) {
+  StartServer(ServeOptions{});
+  WaitOutRacyWindow();
+  auto client = Client();
+  ASSERT_NE(client, nullptr);
+  FetchSubsetRequest request;
+  request.artifact = "main.kdp";
+  request.end = 64;
+  auto before = client->FetchSubset(request);
+  ASSERT_TRUE(before.ok()) << before.status();
+
+  // The cached stamp is settled (not racy), and the rewrite keeps inode,
+  // size and mtime: ctime is what must give it away.
+  RewriteInPlaceKeepingMtime(pool_root_ + "/main.kdp");
+  auto after = client->FetchSubset(request);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_NE(before->fingerprint_crc, after->fingerprint_crc);
+  EXPECT_NE(before->values, after->values);
+  const StatusOr<ServeStatsSnapshot> stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->fingerprint_hashes, 2);
+  EXPECT_EQ(stats->packs_reopened, 1);
+  EXPECT_EQ(stats->cache_misses, 2);
+  EXPECT_EQ(stats->cache_stale_evictions, 1);
+  server_->Stop();
+}
+
+TEST_F(ServeTest, RewriteInTheSameSecondIsCaughtByTheRacyRule) {
+  const auto written = std::chrono::steady_clock::now();
+  StartServer(ServeOptions{});
+  auto client = Client();
+  ASSERT_NE(client, nullptr);
+  FetchSubsetRequest request;
+  request.artifact = "main.kdp";
+  request.end = 64;
+  auto first = client->FetchSubset(request);
+  ASSERT_TRUE(first.ok()) << first.status();
+  auto again = client->FetchSubset(request);
+  ASSERT_TRUE(again.ok()) << again.status();
+  StatusOr<ServeStatsSnapshot> stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  if (std::chrono::steady_clock::now() - written < std::chrono::seconds(1)) {
+    // The package was written moments ago, so its stamp is racy and the
+    // unchanged file is hashed again on every request.
+    EXPECT_EQ(stats->fingerprint_hashes, 2);
+  }
+
+  // A same-size rewrite within the timestamp tick may leave the whole
+  // stamp unchanged; the racy rule re-hashes anyway.
+  RewriteInPlaceKeepingMtime(pool_root_ + "/main.kdp");
+  auto after = client->FetchSubset(request);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_NE(first->fingerprint_crc, after->fingerprint_crc);
+  EXPECT_NE(first->values, after->values);
+  stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->packs_reopened, 1);
+  server_->Stop();
+}
+
+TEST_F(ServeTest, DeletedPoolFileIsNotFoundAndTouchesNoCache) {
+  StartServer(ServeOptions{});
+  auto client = Client();
+  ASSERT_NE(client, nullptr);
+  FetchSubsetRequest fetch;
+  fetch.artifact = "main.kdp";
+  fetch.end = 64;
+  ASSERT_TRUE(client->FetchSubset(fetch).ok());
+  QueryRequest query;
+  query.store = "trace.kel2";
+  query.file_id = 1;
+  query.end = 96;
+  ASSERT_TRUE(client->QueryProvenance(query).ok());
+
+  ASSERT_EQ(std::remove((pool_root_ + "/main.kdp").c_str()), 0);
+  ASSERT_EQ(std::remove((pool_root_ + "/trace.kel2").c_str()), 0);
+  EXPECT_EQ(client->FetchSubset(fetch).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(client->QueryProvenance(query).status().code(),
+            StatusCode::kNotFound);
+  const StatusOr<ServeStatsSnapshot> stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->cache_entries, 1);
+  EXPECT_EQ(stats->cache_misses, 1);
+  EXPECT_EQ(stats->cache_hits, 0);
+  EXPECT_EQ(stats->fingerprint_hashes, 2);
+  server_->Stop();
 }
 
 TEST_F(ServeTest, StopIsIdempotentAndDestructorSafe) {

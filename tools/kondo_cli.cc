@@ -1268,6 +1268,18 @@ volatile std::sig_atomic_t g_serve_stop = 0;
 
 void ServeSignalHandler(int /*signum*/) { g_serve_stop = 1; }
 
+/// The `stores:` line of `stats` and the daemon's shutdown report: the
+/// open-handle pools and how many whole-file hashes revalidation cost.
+void PrintPoolStats(const ServeStatsSnapshot& stats) {
+  std::printf("stores: %lld open, %lld reopened; packs: %lld open, %lld "
+              "reopened; %lld fingerprint hashes\n",
+              static_cast<long long>(stats.stores_open),
+              static_cast<long long>(stats.stores_reopened),
+              static_cast<long long>(stats.packs_open),
+              static_cast<long long>(stats.packs_reopened),
+              static_cast<long long>(stats.fingerprint_hashes));
+}
+
 int CmdServe(std::vector<std::string> args) {
   ServeOptions options;
   if (!AddressFrom(&args, &options.address)) {
@@ -1328,6 +1340,7 @@ int CmdServe(std::vector<std::string> args) {
               static_cast<long long>(stats.campaigns_completed),
               static_cast<long long>(stats.campaigns_failed),
               static_cast<long long>(stats.campaigns_rejected));
+  PrintPoolStats(stats);
   return 0;
 }
 
@@ -1537,9 +1550,7 @@ int CmdClientStats(std::vector<std::string> args) {
               static_cast<long long>(stats->campaign_queue_depth),
               static_cast<long long>(stats->campaign_inflight),
               static_cast<long long>(stats->lineage_bytes_written));
-  std::printf("stores: %lld open, %lld reopened\n",
-              static_cast<long long>(stats->stores_open),
-              static_cast<long long>(stats->stores_reopened));
+  PrintPoolStats(*stats);
   for (int verb = 0; verb < kKpcVerbCount; ++verb) {
     const VerbLatency& latency = stats->verbs[verb];
     if (latency.count == 0) continue;
