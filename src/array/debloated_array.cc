@@ -14,10 +14,11 @@ DebloatedArray DebloatedArray::FromDataArray(const DataArray& array,
   result.dtype_ = array.dtype();
   const int64_t n = result.shape_.NumElements();
   result.bitmap_.assign(static_cast<size_t>((n + 63) / 64), 0);
-  for (int64_t id : retained.ToSortedLinearIds()) {
+  result.packed_values_.reserve(retained.size());
+  retained.ForEachLinear([&result, &array](int64_t id) {
     result.bitmap_[static_cast<size_t>(id / 64)] |= uint64_t{1} << (id % 64);
     result.packed_values_.push_back(array.AtLinear(id));
-  }
+  });
   result.retained_count_ = static_cast<int64_t>(result.packed_values_.size());
   result.RebuildRankDirectory();
   return result;

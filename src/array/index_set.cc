@@ -1,66 +1,115 @@
 #include "array/index_set.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace kondo {
 
-void IndexSet::Insert(const Index& index) {
-  if (!shape_.Contains(index)) {
-    return;
+int32_t IndexSet::MutableSlot(int64_t page) {
+  if (directory_.empty()) {
+    directory_.assign(
+        static_cast<size_t>((num_elements_ + kPageIds - 1) >> kPageBits), -1);
   }
-  ids_.insert(shape_.Linearize(index));
+  int32_t& slot = directory_[static_cast<size_t>(page)];
+  if (slot < 0) {
+    slot = static_cast<int32_t>(slot_pages_.size());
+    slot_pages_.push_back(page);
+    words_.resize(words_.size() + kWordsPerPage, 0);
+  }
+  return slot;
+}
+
+void IndexSet::InsertInRange(int64_t linear) {
+  uint64_t& word = PageWords(MutableSlot(linear >> kPageBits))[WordInPage(
+      linear)];
+  const uint64_t bit = uint64_t{1} << (linear & 63);
+  count_ += (word & bit) == 0;
+  word |= bit;
+}
+
+int64_t IndexSet::LinearOrNegative(const Index& index) const {
+  if (index.rank() != shape_.rank()) {
+    return -1;
+  }
+  int64_t linear = 0;
+  for (int d = 0; d < shape_.rank(); ++d) {
+    if (index[d] < 0 || index[d] >= shape_.dim(d)) {
+      return -1;
+    }
+    linear = linear * shape_.dim(d) + index[d];
+  }
+  return linear;
+}
+
+void IndexSet::Insert(const Index& index) {
+  const int64_t linear = LinearOrNegative(index);
+  if (linear >= 0) {
+    InsertInRange(linear);
+  }
 }
 
 void IndexSet::InsertLinear(int64_t linear) {
   KONDO_CHECK_GE(linear, 0);
-  KONDO_CHECK_LT(linear, shape_.NumElements());
-  ids_.insert(linear);
+  KONDO_CHECK_LT(linear, num_elements_);
+  InsertInRange(linear);
 }
 
 bool IndexSet::Contains(const Index& index) const {
-  if (!shape_.Contains(index)) {
-    return false;
-  }
-  return ids_.count(shape_.Linearize(index)) > 0;
+  const int64_t linear = LinearOrNegative(index);
+  return linear >= 0 && ContainsLinear(linear);
 }
 
 void IndexSet::Union(const IndexSet& other) {
   if (other.empty()) {
     return;
   }
-  if (ids_.empty() && shape_.rank() == 0) {
+  if (empty() && shape_.rank() == 0) {
     shape_ = other.shape_;
+    num_elements_ = other.num_elements_;
   }
   KONDO_CHECK(shape_ == other.shape_);
-  ids_.insert(other.ids_.begin(), other.ids_.end());
+  for (size_t s = 0; s < other.slot_pages_.size(); ++s) {
+    // MutableSlot may grow words_, so take the destination pointer after it.
+    const int32_t slot = MutableSlot(other.slot_pages_[s]);
+    uint64_t* dst = PageWords(slot);
+    const uint64_t* src = other.PageWords(static_cast<int32_t>(s));
+    for (int64_t w = 0; w < kWordsPerPage; ++w) {
+      count_ += std::popcount(src[w] & ~dst[w]);
+      dst[w] |= src[w];
+    }
+  }
 }
 
 int64_t IndexSet::IntersectionSize(const IndexSet& other) const {
-  const IndexSet* small = this;
-  const IndexSet* large = &other;
-  if (small->size() > large->size()) {
-    std::swap(small, large);
-  }
   int64_t count = 0;
-  // kondo-lint: allow(R2) pure reduction — the count is order-insensitive.
-  for (int64_t id : small->ids_) {
-    if (large->ids_.count(id) > 0) {
-      ++count;
+  for (size_t s = 0; s < slot_pages_.size(); ++s) {
+    const int32_t other_slot = other.SlotOf(slot_pages_[s]);
+    if (other_slot < 0) {
+      continue;
+    }
+    const uint64_t* a = PageWords(static_cast<int32_t>(s));
+    const uint64_t* b = other.PageWords(other_slot);
+    for (int64_t w = 0; w < kWordsPerPage; ++w) {
+      count += std::popcount(a[w] & b[w]);
     }
   }
   return count;
 }
 
 bool IndexSet::IsSubsetOf(const IndexSet& other) const {
-  if (size() > other.size()) {
+  if (count_ > other.count_) {
     return false;
   }
-  // kondo-lint: allow(R2) pure reduction — the verdict is order-insensitive.
-  for (int64_t id : ids_) {
-    if (other.ids_.count(id) == 0) {
-      return false;
+  for (size_t s = 0; s < slot_pages_.size(); ++s) {
+    const int32_t other_slot = other.SlotOf(slot_pages_[s]);
+    if (other_slot < 0) {
+      return false;  // A touched page always holds at least one id.
+    }
+    const uint64_t* a = PageWords(static_cast<int32_t>(s));
+    const uint64_t* b = other.PageWords(other_slot);
+    for (int64_t w = 0; w < kWordsPerPage; ++w) {
+      if ((a[w] & ~b[w]) != 0) {
+        return false;
+      }
     }
   }
   return true;
@@ -68,16 +117,15 @@ bool IndexSet::IsSubsetOf(const IndexSet& other) const {
 
 std::vector<Index> IndexSet::ToIndices() const {
   std::vector<Index> result;
-  result.reserve(ids_.size());
-  for (int64_t id : ToSortedLinearIds()) {
-    result.push_back(shape_.Delinearize(id));
-  }
+  result.reserve(size());
+  ForEach([&result](const Index& index) { result.push_back(index); });
   return result;
 }
 
 std::vector<int64_t> IndexSet::ToSortedLinearIds() const {
-  std::vector<int64_t> result(ids_.begin(), ids_.end());
-  std::sort(result.begin(), result.end());
+  std::vector<int64_t> result;
+  result.reserve(size());
+  ForEachLinear([&result](int64_t id) { result.push_back(id); });
   return result;
 }
 

@@ -32,10 +32,9 @@ Status SaveCampaignState(const std::string& path,
     }
     out << "\n";
   }
-  // Discovered ids: I <linear>, sorted for reproducible files.
-  for (int64_t id : state.discovered.ToSortedLinearIds()) {
-    out << "I " << id << "\n";
-  }
+  // Discovered ids: I <linear>, ascending for reproducible files.
+  state.discovered.ForEachLinear(
+      [&out](int64_t id) { out << "I " << id << "\n"; });
   if (!out.good()) {
     return InternalError("campaign state write failed: " + path);
   }

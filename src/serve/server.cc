@@ -314,7 +314,8 @@ void KondoServer::RunCampaignJob(std::shared_ptr<Program> program,
   if (!writer.ok()) {
     status = writer.status();
   } else {
-    for (int64_t linear : result.approx.ToSortedLinearIds()) {
+    result.approx.ForEachLinear([&](int64_t linear) {
+      if (!status.ok()) return;
       Event event;
       event.id.pid = job_id;
       event.id.file_id = 1;
@@ -322,8 +323,7 @@ void KondoServer::RunCampaignJob(std::shared_ptr<Program> program,
       event.offset = linear * kLineageElemBytes;
       event.size = kLineageElemBytes;
       status = writer->Append(event);
-      if (!status.ok()) break;
-    }
+    });
     if (status.ok()) status = writer->Close();
     bytes = writer->bytes_written();
   }

@@ -43,9 +43,9 @@ PlanWeights WeightsFromIndexSets(const std::vector<IndexSet>& per_file) {
   for (const IndexSet& set : per_file) {
     std::vector<double> file_weights(
         static_cast<size_t>(set.shape().NumElements()), kColdElementWeight);
-    for (int64_t id : set.ToSortedLinearIds()) {
+    set.ForEachLinear([&file_weights](int64_t id) {
       file_weights[static_cast<size_t>(id)] = kHotElementWeight;
-    }
+    });
     weights.per_file.push_back(std::move(file_weights));
   }
   return weights;

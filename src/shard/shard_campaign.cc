@@ -28,19 +28,26 @@ std::shared_ptr<EventLog> CanonicalLineageLog(
   auto log = std::make_shared<EventLog>();
   bool any = false;
   for (size_t f = 0; f < per_file.size(); ++f) {
-    IntervalSet ranges;
-    for (int64_t id : per_file[f].ToSortedLinearIds()) {
-      ranges.Add(id * kLineageElemBytes, (id + 1) * kLineageElemBytes);
-    }
-    for (const Interval& range : ranges.ToIntervals()) {
+    // Ids arrive ascending, so a run of consecutive ids is one range.
+    const auto record = [&](int64_t first, int64_t last) {
       Event event;
       event.id = EventId{1 + seq, static_cast<int64_t>(f) + 1};
       event.type = EventType::kPread;
-      event.offset = range.begin;
-      event.size = range.length();
+      event.offset = first * kLineageElemBytes;
+      event.size = (last + 1 - first) * kLineageElemBytes;
       log->Record(event);
       any = true;
-    }
+    };
+    int64_t first = -1;  // The open run is [first, last]; none while -1.
+    int64_t last = -2;
+    per_file[f].ForEachLinear([&](int64_t id) {
+      if (id != last + 1) {
+        if (first >= 0) record(first, last);
+        first = id;
+      }
+      last = id;
+    });
+    if (first >= 0) record(first, last);
   }
   return any ? log : nullptr;
 }
@@ -153,9 +160,8 @@ std::string EncodeShardState(int shard, const ShardCampaignResult& result,
     out << "\n";
   }
   for (size_t f = 0; f < result.per_file.size(); ++f) {
-    for (int64_t id : result.per_file[f].ToSortedLinearIds()) {
-      out << "I " << f << " " << id << "\n";
-    }
+    result.per_file[f].ForEachLinear(
+        [&out, f](int64_t id) { out << "I " << f << " " << id << "\n"; });
   }
   if (info.lineage_bytes >= 0) {
     out << "A " << info.lineage_bytes << " " << info.lineage_crc << "\n";

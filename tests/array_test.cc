@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -192,6 +195,172 @@ TEST(IndexSetTest, ForEachVisitsEveryMember) {
   });
   EXPECT_EQ(count, 2);
 }
+
+// Randomised IndexSet checks against a std::set<int64_t> oracle, on shapes
+// that span several 64 Ki-id pages and whose element counts are not a page
+// multiple. Half the ids cluster around page boundaries.
+class IndexSetOracleTest : public testing::TestWithParam<Shape> {
+ protected:
+  static constexpr int64_t kPage = 65536;
+
+  int64_t RandomId(Rng& rng) const {
+    const int64_t n = GetParam().NumElements();
+    if (rng.Bernoulli(0.5)) {
+      const int64_t boundary = kPage * rng.UniformInt(0, n / kPage);
+      return std::clamp<int64_t>(boundary + rng.UniformInt(-2, 1), 0, n - 1);
+    }
+    return rng.UniformInt(0, n - 1);
+  }
+
+  /// `count` seeded inserts, alternating Insert and InsertLinear; every
+  /// tenth is an out-of-bounds Insert that must be clipped.
+  void RandomInserts(uint64_t seed, int count, IndexSet* set,
+                     std::set<int64_t>* oracle) const {
+    const Shape& shape = GetParam();
+    Rng rng(seed);
+    for (int i = 0; i < count; ++i) {
+      const int64_t id = RandomId(rng);
+      if (i % 10 == 9) {
+        Index outside = shape.Delinearize(id);
+        const int d = static_cast<int>(rng.UniformInt(0, shape.rank() - 1));
+        outside[d] = rng.Bernoulli(0.5) ? -1 : shape.dim(d);
+        set->Insert(outside);
+        continue;
+      }
+      if (i % 2 == 0) {
+        set->InsertLinear(id);
+      } else {
+        set->Insert(shape.Delinearize(id));
+      }
+      oracle->insert(id);
+    }
+  }
+
+  void ExpectMatches(const IndexSet& set,
+                     const std::set<int64_t>& oracle) const {
+    const Shape& shape = GetParam();
+    const std::vector<int64_t> expected(oracle.begin(), oracle.end());
+    EXPECT_EQ(set.size(), oracle.size());
+    EXPECT_EQ(set.empty(), oracle.empty());
+    EXPECT_EQ(set.ToSortedLinearIds(), expected);
+    std::vector<int64_t> linear;
+    set.ForEachLinear([&linear](int64_t id) { linear.push_back(id); });
+    EXPECT_EQ(linear, expected);
+    std::vector<int64_t> via_index;
+    set.ForEach([&](const Index& index) {
+      via_index.push_back(shape.Linearize(index));
+    });
+    EXPECT_EQ(via_index, expected);
+    const std::vector<Index> indices = set.ToIndices();
+    ASSERT_EQ(indices.size(), expected.size());
+    for (size_t i = 0; i < indices.size(); ++i) {
+      ASSERT_EQ(shape.Linearize(indices[i]), expected[i]);
+    }
+    // Every member and its neighbours, then every page boundary.
+    const int64_t n = shape.NumElements();
+    std::vector<int64_t> probes;
+    for (int64_t id : expected) {
+      probes.insert(probes.end(), {id - 1, id, id + 1});
+    }
+    for (int64_t b = 0; b <= n + kPage; b += kPage) {
+      probes.insert(probes.end(), {b - 1, b, b + 1});
+    }
+    probes.insert(probes.end(), {n - 1, n, n + 1});
+    for (int64_t id : probes) {
+      const bool member = oracle.count(id) > 0;
+      ASSERT_EQ(set.ContainsLinear(id), member) << id;
+      if (id >= 0 && id < n) {
+        ASSERT_EQ(set.Contains(shape.Delinearize(id)), member) << id;
+      }
+    }
+    Index outside = shape.Delinearize(0);
+    outside[0] = shape.dim(0);
+    EXPECT_FALSE(set.Contains(outside));
+    outside[0] = -1;
+    EXPECT_FALSE(set.Contains(outside));
+  }
+};
+
+TEST_P(IndexSetOracleTest, InsertsMatchOracle) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    IndexSet set(GetParam());
+    std::set<int64_t> oracle;
+    RandomInserts(seed, 3000, &set, &oracle);
+    ExpectMatches(set, oracle);
+  }
+  ExpectMatches(IndexSet(GetParam()), {});
+}
+
+TEST_P(IndexSetOracleTest, SetAlgebraMatchesOracle) {
+  IndexSet a(GetParam());
+  IndexSet b(GetParam());
+  std::set<int64_t> oa;
+  std::set<int64_t> ob;
+  RandomInserts(11, 4000, &a, &oa);
+  RandomInserts(12, 2000, &b, &ob);
+
+  std::vector<int64_t> common;
+  std::set_intersection(oa.begin(), oa.end(), ob.begin(), ob.end(),
+                        std::back_inserter(common));
+  EXPECT_EQ(a.IntersectionSize(b), static_cast<int64_t>(common.size()));
+  EXPECT_EQ(b.IntersectionSize(a), static_cast<int64_t>(common.size()));
+  EXPECT_EQ(a.IsSubsetOf(b), std::includes(ob.begin(), ob.end(), oa.begin(),
+                                           oa.end()));
+  EXPECT_FALSE(a.IsSubsetOf(b));
+
+  IndexSet both = a;
+  both.Union(b);
+  std::set<int64_t> ob_union = oa;
+  ob_union.insert(ob.begin(), ob.end());
+  ExpectMatches(both, ob_union);
+  EXPECT_TRUE(a.IsSubsetOf(both));
+  EXPECT_TRUE(b.IsSubsetOf(both));
+  EXPECT_FALSE(both.IsSubsetOf(a));
+  EXPECT_TRUE(IndexSet(GetParam()).IsSubsetOf(a));
+  EXPECT_EQ(both.IntersectionSize(a), static_cast<int64_t>(oa.size()));
+
+  // A one-page subset of a multi-page set, and a set with a page its
+  // superset-by-count lacks.
+  IndexSet single(GetParam());
+  single.InsertLinear(*oa.begin());
+  EXPECT_TRUE(single.IsSubsetOf(a));
+  IndexSet last_page(GetParam());
+  last_page.InsertLinear(GetParam().NumElements() - 1);
+  EXPECT_EQ(last_page.IsSubsetOf(a),
+            oa.count(GetParam().NumElements() - 1) > 0);
+
+  // Union into a default-constructed set adopts the shape.
+  IndexSet adopted;
+  adopted.Union(b);
+  EXPECT_EQ(adopted.shape(), GetParam());
+  ExpectMatches(adopted, ob);
+
+  // Unioning a set into itself changes nothing.
+  both.Union(both);
+  ExpectMatches(both, ob_union);
+}
+
+TEST_P(IndexSetOracleTest, CopiesAreIndependent) {
+  IndexSet source(GetParam());
+  std::set<int64_t> oracle;
+  RandomInserts(21, 2000, &source, &oracle);
+  IndexSet copy = source;
+  std::set<int64_t> copy_oracle = oracle;
+  RandomInserts(22, 2000, &copy, &copy_oracle);
+  ExpectMatches(source, oracle);
+  ExpectMatches(copy, copy_oracle);
+
+  IndexSet assigned(GetParam());
+  assigned = copy;
+  source.Union(assigned);
+  oracle.insert(copy_oracle.begin(), copy_oracle.end());
+  ExpectMatches(source, oracle);
+  ExpectMatches(assigned, copy_oracle);
+}
+
+INSTANTIATE_TEST_SUITE_P(MultiPageShapes, IndexSetOracleTest,
+                         testing::Values(Shape{3, 50000}, Shape{200000},
+                                         Shape{7, 9, 2100}));
 
 // ----------------------------------------------------------------- DType --
 

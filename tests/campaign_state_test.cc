@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "core/debloat_test.h"
 #include "fuzz/campaign_state.h"
+#include "provenance/crc32.h"
 #include "workloads/registry.h"
 
 namespace kondo {
@@ -110,6 +113,28 @@ TEST(CampaignStateTest, ResumedCampaignExtendsDiscovery) {
                                        second.Run(test)));
   EXPECT_GE(reloaded->discovered.size(), after_first);
   EXPECT_GE(reloaded->seeds.size(), 2u);
+}
+
+// The bytes of a saved campaign over a shape spanning several 64 Ki-id
+// pages, recorded when IndexSet was a hash set that sorted on every walk.
+// Any change to the set's representation must reproduce them exactly.
+TEST(CampaignStateGoldenTest, SavedStateIsByteIdenticalToRecorded) {
+  const std::unique_ptr<Program> program = CreateProgram("PRL", 320);
+  FuzzConfig short_config;
+  short_config.max_iter = 150;
+  FuzzSchedule schedule(program->param_space(), program->data_shape(),
+                        short_config, 5);
+  const CampaignState state = MakeCampaignState(
+      program->data_shape(), schedule.Run(MakeDebloatTest(*program)));
+  ASSERT_GT(state.discovered.size(), 0u);
+
+  const std::string path = TempPath("golden.kcs");
+  ASSERT_TRUE(SaveCampaignState(path, state).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes.size(), 441865u);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 328484820u);
 }
 
 }  // namespace

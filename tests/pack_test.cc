@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -20,11 +21,13 @@
 #include "array/index_set.h"
 #include "array/kdf_file.h"
 #include "common/env.h"
+#include "core/kondo.h"
 #include "exec/thread_pool.h"
 #include "pack/chunk_codec.h"
 #include "pack/kdp_format.h"
 #include "pack/pack_reader.h"
 #include "pack/pack_writer.h"
+#include "provenance/crc32.h"
 
 namespace kondo {
 namespace {
@@ -658,6 +661,36 @@ TEST(PackCrashSweepTest, InterruptedRepackPreservesTheOldPackage) {
     EXPECT_TRUE(left == old_bytes || left == new_bytes)
         << "torn package after crash at op " << k;
   }
+}
+
+// The KDP of a retained set spanning three 64 Ki-id pages (a block that
+// straddles the first page boundary plus a scattered third of the rest),
+// recorded when IndexSet was a hash set that sorted on every walk. Any
+// change to the set's representation must reproduce it exactly. Ids are
+// inserted in descending order, so the last page is touched first.
+TEST(KdpGoldenTest, PackagedSubsetIsByteIdenticalToRecorded) {
+  const Shape shape{3, 50000};
+  DataArray array(shape, DType::kFloat64);
+  array.FillPattern(11);
+  std::vector<int64_t> ids;
+  for (int64_t id = 60000; id < 70000; ++id) {
+    ids.push_back(id);
+  }
+  uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (int i = 0; i < 40000; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    ids.push_back(static_cast<int64_t>((state >> 33) % 150000));
+  }
+  std::sort(ids.rbegin(), ids.rend());
+  IndexSet retained(shape);
+  for (int64_t id : ids) {
+    retained.InsertLinear(id);
+  }
+  const std::string path = TempPath("golden.kdp");
+  ASSERT_TRUE(WriteKdpFile(path, PackageDebloated(array, retained)).ok());
+  const std::string bytes = ReadFileBytes(path);
+  EXPECT_EQ(bytes.size(), 319249u);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 6875753u);
 }
 
 }  // namespace

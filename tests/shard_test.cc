@@ -17,6 +17,7 @@
 
 #include "core/multi_kondo.h"
 #include "fuzz/fuzz_schedule.h"
+#include "provenance/crc32.h"
 #include "shard/merge_stage.h"
 #include "shard/plan_weights.h"
 #include "shard/shard_campaign.h"
@@ -398,6 +399,37 @@ TEST(ShardSchedulerTest, MergedLineageBytesInvariantAcrossShardCounts) {
           << "merged.kel2 differs at shards=" << shards;
     }
   }
+}
+
+// The merged lineage store and shard 0's state file of a small sharded
+// STORM campaign whose files span several 64 Ki-id pages, recorded when
+// IndexSet was a hash set that sorted on every walk. The invariance tests
+// above only compare the code with itself; these pin the bytes.
+TEST(ShardGoldenTest, StormArtifactsAreByteIdenticalToRecorded) {
+  const StormTrackProgram program(384, 4);
+  const KondoConfig config = ShortCampaignConfig(29);
+  ShardOptions options;
+  options.shards = 2;
+  options.output_dir = TempDir("golden");
+  const StatusOr<ShardedRunResult> run =
+      RunShardedCampaign(program, config, options);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ASSERT_TRUE(run->complete);
+  const std::string merged = ReadFileBytes(run->merged_lineage_path);
+  EXPECT_EQ(merged.size(), 290542u);
+  EXPECT_EQ(Crc32(merged.data(), merged.size()), 3829107164u);
+  // The KSS `T` line records the campaign's wall time and the `C` trailer
+  // checksums it, so those two lines are left out of the pinned bytes.
+  std::istringstream kss(
+      ReadFileBytes(options.output_dir + "/" + ShardStateFileName(0)));
+  std::string state;
+  for (std::string line; std::getline(kss, line);) {
+    if (line.rfind("T ", 0) != 0 && line.rfind("C ", 0) != 0) {
+      state += line + "\n";
+    }
+  }
+  EXPECT_EQ(state.size(), 276166u);
+  EXPECT_EQ(Crc32(state.data(), state.size()), 4009615672u);
 }
 
 TEST(ShardSchedulerTest, ResumesFromManifestOneShardAtATime) {
