@@ -38,7 +38,7 @@ namespace kondo {
 ///   sizes     run-length pairs (zigzag varint value, varint run)
 ///
 /// A torn trailing block (crash mid-append: truncated descriptor or
-/// payload) is dropped on read, mirroring KEL1's crash semantics; a
+/// payload) is dropped on read, so a crash costs at most the tail; a
 /// *complete* block whose payload fails its CRC is reported as data loss.
 constexpr char kKel2Magic[4] = {'K', 'E', 'L', '2'};
 constexpr size_t kKel2HeaderBytes = 8;

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "audit/event_store.h"
 #include "common/strings.h"
 #include "provenance/crc32.h"
 #include "provenance/varint.h"
@@ -219,32 +218,9 @@ StatusOr<std::vector<Event>> Kel2Reader::ReadAll() const {
   return events;
 }
 
-bool IsKel2Store(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return false;
-  }
-  char magic[4];
-  const bool is_kel2 = std::fread(magic, 1, 4, file) == 4 &&
-                       std::memcmp(magic, kKel2Magic, 4) == 0;
-  std::fclose(file);
-  return is_kel2;
-}
-
 StatusOr<std::vector<Event>> ReadLineageStore(const std::string& path) {
-  if (IsKel2Store(path)) {
-    KONDO_ASSIGN_OR_RETURN(Kel2Reader reader, Kel2Reader::Open(path));
-    return reader.ReadAll();
-  }
-  return ReadEventStore(path);
-}
-
-Status ReplayLineageStore(const std::string& path, EventLog* log) {
-  KONDO_ASSIGN_OR_RETURN(std::vector<Event> events, ReadLineageStore(path));
-  for (const Event& event : events) {
-    log->Record(event);
-  }
-  return OkStatus();
+  KONDO_ASSIGN_OR_RETURN(Kel2Reader reader, Kel2Reader::Open(path));
+  return reader.ReadAll();
 }
 
 }  // namespace kondo

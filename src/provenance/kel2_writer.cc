@@ -36,8 +36,8 @@ void EncodeDeltaColumn(const std::vector<Event>& events,
   }
 }
 
-}  // namespace
-
+/// Encodes `events` into one block (descriptor + payload) appended to
+/// `out`.
 void EncodeKel2Block(const std::vector<Event>& events, std::string* out) {
   std::string payload;
   payload.reserve(events.size() * 4);
@@ -113,6 +113,8 @@ void EncodeKel2Block(const std::vector<Event>& events, std::string* out) {
   AppendI64(max_file, out);
   out->append(payload);
 }
+
+}  // namespace
 
 StatusOr<Kel2Writer> Kel2Writer::Create(const std::string& path,
                                         const Kel2WriterOptions& options) {

@@ -4,9 +4,7 @@
 #include <memory>
 #include <utility>
 
-#include "audit/event_store.h"
 #include "common/thread_annotations.h"
-#include "provenance/kel2_reader.h"
 
 namespace kondo {
 
@@ -15,15 +13,6 @@ AuditPersistFn MakeKel2Persister(std::string path,
   return [path = std::move(path), options](const EventLog& log) -> Status {
     KONDO_ASSIGN_OR_RETURN(Kel2Writer writer,
                            Kel2Writer::Create(path, options));
-    KONDO_RETURN_IF_ERROR(writer.AppendAll(log));
-    return writer.Close();
-  };
-}
-
-AuditPersistFn MakeKel1Persister(std::string path, Env* env) {
-  return [path = std::move(path), env](const EventLog& log) -> Status {
-    KONDO_ASSIGN_OR_RETURN(EventStoreWriter writer,
-                           EventStoreWriter::Create(path, env));
     KONDO_RETURN_IF_ERROR(writer.AppendAll(log));
     return writer.Close();
   };
@@ -53,26 +42,6 @@ AuditPersistFn MakeSerializedPersister(AuditPersistFn persist) {
     MutexLock lock(*mu);
     return persist(log);
   };
-}
-
-StatusOr<CompactStats> CompactLineageStore(const std::string& input_path,
-                                           const std::string& output_path,
-                                           Kel2WriterOptions options) {
-  KONDO_ASSIGN_OR_RETURN(std::vector<Event> events,
-                         ReadLineageStore(input_path));
-  KONDO_ASSIGN_OR_RETURN(Kel2Writer writer,
-                         Kel2Writer::Create(output_path, options));
-  for (const Event& event : events) {
-    KONDO_RETURN_IF_ERROR(writer.Append(event));
-  }
-  KONDO_RETURN_IF_ERROR(writer.Close());
-
-  CompactStats stats;
-  stats.events = static_cast<int64_t>(events.size());
-  stats.blocks = writer.blocks_written();
-  KONDO_ASSIGN_OR_RETURN(stats.input_bytes, FileSizeBytes(input_path));
-  KONDO_ASSIGN_OR_RETURN(stats.output_bytes, FileSizeBytes(output_path));
-  return stats;
 }
 
 StatusOr<int64_t> FileSizeBytes(const std::string& path) {

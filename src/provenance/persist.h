@@ -19,11 +19,6 @@ namespace kondo {
 AuditPersistFn MakeKel2Persister(std::string path,
                                  Kel2WriterOptions options = {});
 
-/// KEL1-compatible persister (the original 40-byte-per-record store), for
-/// callers that want the uncompressed format. `env == nullptr` selects the
-/// real filesystem.
-AuditPersistFn MakeKel1Persister(std::string path, Env* env = nullptr);
-
 /// Wraps `persist` so concurrent invocations serialize on an internal
 /// mutex instead of interleaving writes to the store. Use when audited
 /// runs race on one persister outside the campaign executor's ordered
@@ -66,27 +61,6 @@ class CampaignLineageSink {
   std::shared_ptr<Kel2Writer> writer_;
   std::shared_ptr<int64_t> runs_;
 };
-
-/// Outcome of compacting a KEL1 store into KEL2.
-struct CompactStats {
-  int64_t events = 0;
-  int64_t blocks = 0;
-  int64_t input_bytes = 0;
-  int64_t output_bytes = 0;
-
-  double Ratio() const {
-    return output_bytes > 0
-               ? static_cast<double>(input_bytes) /
-                     static_cast<double>(output_bytes)
-               : 0.0;
-  }
-};
-
-/// Rewrites the KEL1 (or KEL2) store at `input_path` as a KEL2 store at
-/// `output_path`, preserving event order byte-exactly.
-StatusOr<CompactStats> CompactLineageStore(const std::string& input_path,
-                                           const std::string& output_path,
-                                           Kel2WriterOptions options = {});
 
 /// Size of `path` in bytes (kNotFound when missing).
 StatusOr<int64_t> FileSizeBytes(const std::string& path);

@@ -1,6 +1,5 @@
 #include "shard/merge_stage.h"
 
-#include <algorithm>
 #include <map>
 #include <utility>
 
@@ -63,9 +62,6 @@ StatusOr<MergedCampaign> MergeShardCampaigns(
     KONDO_RETURN_IF_ERROR(CheckStatsAgree(shard_results[0].stats,
                                           shard_results[s].stats,
                                           static_cast<int>(s)));
-    merged.fuzz_stats.elapsed_seconds =
-        std::max(merged.fuzz_stats.elapsed_seconds,
-                 shard_results[s].stats.elapsed_seconds);
   }
 
   const int files = plan.num_files();

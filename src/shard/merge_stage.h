@@ -32,7 +32,8 @@ struct MergedCampaign {
 ///  * verifies the replicated schedules agreed — every deterministic
 ///    FuzzStats field must be identical across shards (divergence is an
 ///    internal error: the shards did not replay the same campaign);
-///    `elapsed_seconds` is folded as the max;
+///    the wall-clock `elapsed_seconds` is not folded (it is shard 0's,
+///    and 0 for a shard loaded from its KSS, which records no wall time);
 ///  * unions the slice-restricted per-file index sets (an exact partition,
 ///    so the union is the unsharded discovery set);
 ///  * carves each file on the calling thread, one file at a time, and

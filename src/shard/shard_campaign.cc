@@ -137,8 +137,6 @@ std::string EncodeShardState(int shard, const ShardCampaignResult& result,
   out << "T " << stats.iterations << " " << stats.evaluations << " "
       << stats.useful_evaluations << " " << stats.restarts;
   std::snprintf(buf, sizeof(buf), " %.17g", stats.final_epsilon);
-  out << buf;
-  std::snprintf(buf, sizeof(buf), " %.17g", stats.elapsed_seconds);
   out << buf << " " << (stats.stopped_by_stagnation ? 1 : 0) << " "
       << (stats.stopped_by_budget ? 1 : 0) << " "
       << (stats.stopped_by_eval_budget ? 1 : 0) << " " << stats.retries
@@ -240,9 +238,11 @@ StatusOr<ShardCampaignResult> DecodeShardState(
       int stagnation = 0, budget = 0, eval_budget = 0;
       fields >> stats.iterations >> stats.evaluations >>
           stats.useful_evaluations >> stats.restarts >> stats.final_epsilon >>
-          stats.elapsed_seconds >> stagnation >> budget >> eval_budget >>
-          stats.retries >> stats.quarantined;
-      if (fields.fail()) {
+          stagnation >> budget >> eval_budget >> stats.retries >>
+          stats.quarantined;
+      // A field left over means another layout (an older KSS carried the
+      // wall time after the epsilon): never misread it shifted by one.
+      if (fields.fail() || !(fields >> std::ws).eof()) {
         return DataLossError("bad stats line in shard state: " + line);
       }
       stats.stopped_by_stagnation = stagnation != 0;

@@ -73,7 +73,7 @@ StatusOr<ShardArtifactInfo> HashFileArtifact(const std::string& path);
 /// invocation can merge without re-fuzzing. Text format (docs/FORMATS.md):
 ///
 ///   KSS1 <shard> <num_files>
-///   T <iterations> <evaluations> <useful> <restarts> <epsilon> <elapsed>
+///   T <iterations> <evaluations> <useful> <restarts> <epsilon>
 ///     <stopped_by_stagnation> <stopped_by_budget> <stopped_by_eval_budget>
 ///     <retries> <quarantined>
 ///   S <useful> <v...>        seeds, full double precision, consumption order

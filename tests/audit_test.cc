@@ -9,7 +9,6 @@
 #include "audit/auditor.h"
 #include "audit/event.h"
 #include "audit/event_log.h"
-#include "audit/event_store.h"
 #include "audit/interval_btree.h"
 #include "audit/offset_mapper.h"
 #include "audit/traced_file.h"
@@ -443,83 +442,54 @@ Event StoreEvent(int64_t pid, int64_t offset, int64_t size) {
   return event;
 }
 
-/// Torn-write tolerance, parameterized over both store generations: write
-/// three events, truncate the file mid-record (KEL1) / mid-block (KEL2),
-/// and assert the reader drops exactly the partial trailing unit.
-class TornWriteTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(TornWriteTest, TruncationDropsExactlyThePartialTail) {
-  const bool kel2 = std::string(GetParam()) == "kel2";
-  const std::string path =
-      TempPath(std::string("torn_param.") + GetParam());
+/// Torn-write tolerance: write three events one block each, truncate the
+/// file mid-block, and assert the reader drops exactly the partial
+/// trailing block.
+TEST(TornWriteTest, TruncationDropsExactlyThePartialTail) {
+  const std::string path = TempPath("torn_tail.kel2");
   const std::vector<Event> events = {StoreEvent(1, 0, 8),
                                      StoreEvent(1, 8, 8),
                                      StoreEvent(2, 100, 8)};
-  int64_t intact = 0;  // Events expected to survive truncation.
-  if (kel2) {
-    // One event per block: truncating into the third block keeps two.
-    Kel2WriterOptions options;
-    options.events_per_block = 1;
-    StatusOr<Kel2Writer> writer = Kel2Writer::Create(path, options);
-    ASSERT_TRUE(writer.ok());
-    for (const Event& event : events) {
-      ASSERT_TRUE(writer->Append(event).ok());
-    }
-    ASSERT_TRUE(writer->Close().ok());
-    intact = 2;
-  } else {
-    StatusOr<EventStoreWriter> writer = EventStoreWriter::Create(path);
-    ASSERT_TRUE(writer.ok());
-    for (const Event& event : events) {
-      ASSERT_TRUE(writer->Append(event).ok());
-    }
-    ASSERT_TRUE(writer->Close().ok());
-    intact = 2;
+  Kel2WriterOptions options;
+  options.events_per_block = 1;
+  StatusOr<Kel2Writer> writer = Kel2Writer::Create(path, options);
+  ASSERT_TRUE(writer.ok());
+  for (const Event& event : events) {
+    ASSERT_TRUE(writer->Append(event).ok());
   }
+  ASSERT_TRUE(writer->Close().ok());
 
   StatusOr<int64_t> full = FileSizeBytes(path);
   ASSERT_TRUE(full.ok());
-  // Chop into (not at) the final record/block.
+  // Chop into (not at) the final block: the first two survive.
   ASSERT_EQ(::truncate(path.c_str(), *full - 5), 0);
 
   StatusOr<std::vector<Event>> got = ReadLineageStore(path);
   ASSERT_TRUE(got.ok()) << got.status();
-  ASSERT_EQ(static_cast<int64_t>(got->size()), intact);
-  for (int64_t i = 0; i < intact; ++i) {
-    EXPECT_EQ((*got)[static_cast<size_t>(i)].offset, events[i].offset);
-    EXPECT_EQ((*got)[static_cast<size_t>(i)].id.pid, events[i].id.pid);
+  ASSERT_EQ(got->size(), 2u);
+  for (size_t i = 0; i < got->size(); ++i) {
+    EXPECT_EQ((*got)[i].offset, events[i].offset);
+    EXPECT_EQ((*got)[i].id.pid, events[i].id.pid);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Formats, TornWriteTest,
-                         ::testing::Values("kel1", "kel2"));
-
 // ------------------------------------------ event store error reporting --
-
-TEST(EventStoreErrorTest, AppendAfterCloseNamesTheStore) {
-  const std::string path = TempPath("closed_named.kel");
-  StatusOr<EventStoreWriter> writer = EventStoreWriter::Create(path);
-  ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE(writer->Close().ok());
-  const Status status = writer->Append(StoreEvent(1, 0, 8));
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(status.message().find(path), std::string::npos)
-      << status.message();
-}
 
 TEST(EventStoreErrorTest, ShortWriteReportsSizes) {
   // /dev/full fails every flush with ENOSPC; with the default 4 KiB stdio
-  // buffer the failure surfaces inside some Append (or at Close). The
-  // regression under test: the status must report how many of the 40
-  // record bytes made it out.
+  // buffer the failure surfaces inside some block write (one block per
+  // event here) or at Close. The status must name the device and, for a
+  // short write, how many of the block's bytes made it out.
   std::FILE* probe = std::fopen("/dev/full", "wb");
   if (probe == nullptr) {
     GTEST_SKIP() << "/dev/full not available";
   }
   std::fclose(probe);
 
-  StatusOr<EventStoreWriter> writer = EventStoreWriter::Create("/dev/full");
-  ASSERT_TRUE(writer.ok());
+  Kel2WriterOptions options;
+  options.events_per_block = 1;
+  StatusOr<Kel2Writer> writer = Kel2Writer::Create("/dev/full", options);
+  ASSERT_TRUE(writer.ok()) << writer.status();
   Status failure = OkStatus();
   for (int i = 0; i < 500 && failure.ok(); ++i) {
     failure = writer->Append(StoreEvent(1, i * 8, 8));
@@ -529,7 +499,7 @@ TEST(EventStoreErrorTest, ShortWriteReportsSizes) {
   }
   ASSERT_FALSE(failure.ok());
   if (failure.message().find("short write") != std::string::npos) {
-    EXPECT_NE(failure.message().find("of 40 bytes"), std::string::npos)
+    EXPECT_NE(failure.message().find(": wrote "), std::string::npos)
         << failure.message();
   }
   EXPECT_NE(failure.message().find("/dev/full"), std::string::npos)

@@ -5,8 +5,10 @@
 
 #include <array>
 #include <cstdio>
-#include <cstring>
 #include <string>
+
+#include "audit/event.h"
+#include "provenance/kel2_writer.h"
 
 namespace kondo {
 namespace {
@@ -195,42 +197,40 @@ TEST(CliTest, ReplayWrongArityFails) {
 
 // ------------------------------------------------------------ provenance --
 
-/// Writes a minimal KEL1 store by hand (the test binary links only gtest,
-/// so it re-states the 40-byte record layout of docs/FORMATS.md).
-void WriteKel1Fixture(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite("KEL1\0\0\0\0", 1, 8, f);
+/// Writes a three-event KEL2 store, two events per block, so a narrow
+/// query can skip a block.
+void WriteKel2Fixture(const std::string& path) {
   const struct {
-    int64_t pid, file_id;
-    unsigned char type;
-    int64_t offset, size;
-  } records[] = {
-      {1, 1, 2, 0, 100},    // pread [0,100)
-      {2, 1, 2, 250, 100},  // pread [250,350)
-      {1, 1, 2, 40, 20},    // pread [40,60)
+    int64_t pid, offset, size;
+  } reads[] = {
+      {1, 0, 100},    // pread [0,100)
+      {2, 250, 100},  // pread [250,350)
+      {1, 40, 20},    // pread [40,60)
   };
-  for (const auto& r : records) {
-    char buf[40] = {};
-    std::memcpy(buf, &r.pid, 8);
-    std::memcpy(buf + 8, &r.file_id, 8);
-    buf[16] = static_cast<char>(r.type);
-    std::memcpy(buf + 24, &r.offset, 8);
-    std::memcpy(buf + 32, &r.size, 8);
-    std::fwrite(buf, 1, sizeof(buf), f);
+  Kel2WriterOptions options;
+  options.events_per_block = 2;
+  StatusOr<Kel2Writer> writer = Kel2Writer::Create(path, options);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  for (const auto& r : reads) {
+    Event event;
+    event.id = EventId{r.pid, 1};
+    event.type = EventType::kPread;
+    event.offset = r.offset;
+    event.size = r.size;
+    ASSERT_TRUE(writer->Append(event).ok());
   }
-  std::fclose(f);
+  ASSERT_TRUE(writer->Close().ok());
 }
 
 TEST(CliTest, GlobalUsageListsProvenance) {
   const CommandResult result = RunCli("");
   EXPECT_EQ(result.exit_code, 2);
-  EXPECT_NE(result.output.find("provenance compact"), std::string::npos);
   EXPECT_NE(result.output.find("provenance query"), std::string::npos);
   EXPECT_NE(result.output.find("provenance stats"), std::string::npos);
-  // The package is the only on-disk D_Θ: no verbs convert to or from
-  // another form.
-  for (const char* retired : {"kondo pack ", "kondo unpack", "kondo repack"}) {
+  // The package is the only on-disk D_Θ and KEL2 the only lineage store:
+  // no verbs convert to or from another form.
+  for (const char* retired :
+       {"kondo pack ", "kondo unpack", "kondo repack", " compact "}) {
     EXPECT_EQ(result.output.find(retired), std::string::npos) << retired;
   }
 }
@@ -246,28 +246,15 @@ TEST(CliTest, ArgumentErrorPrintsPerCommandUsage) {
 
   const CommandResult prov = RunCli("provenance");
   EXPECT_EQ(prov.exit_code, 2);
-  EXPECT_NE(prov.output.find("provenance compact"), std::string::npos);
+  EXPECT_NE(prov.output.find("provenance query"), std::string::npos);
   EXPECT_EQ(prov.output.find("kondo debloat"), std::string::npos);
 }
 
-TEST(CliTest, ProvenanceCompactQueryStatsFlow) {
-  const std::string kel1 = TempPath("cli_prov.kel");
+TEST(CliTest, ProvenanceQueryStatsFlow) {
   const std::string kel2 = TempPath("cli_prov.kel2");
-  WriteKel1Fixture(kel1);
+  WriteKel2Fixture(kel2);
 
-  const CommandResult compact =
-      RunCli("provenance compact " + kel1 + " " + kel2 + " --block 2");
-  EXPECT_EQ(compact.exit_code, 0) << compact.output;
-  EXPECT_NE(compact.output.find("3 events"), std::string::npos);
-
-  // Querying either generation of store finds the same events; the KEL2
-  // answer reports block decode/skip counts.
-  const CommandResult q1 = RunCli("provenance query " + kel1 +
-                                  " --range 30:50");
-  EXPECT_EQ(q1.exit_code, 0) << q1.output;
-  EXPECT_NE(q1.output.find("full scan"), std::string::npos);
-  EXPECT_NE(q1.output.find("2 events"), std::string::npos);
-
+  // The answer reports block decode/skip counts.
   const CommandResult q2 = RunCli("provenance query " + kel2 +
                                   " --range 30:50");
   EXPECT_EQ(q2.exit_code, 0) << q2.output;
@@ -283,12 +270,25 @@ TEST(CliTest, ProvenanceCompactQueryStatsFlow) {
   const CommandResult stats = RunCli("provenance stats " + kel2);
   EXPECT_EQ(stats.exit_code, 0) << stats.output;
   EXPECT_NE(stats.output.find("KEL2 store: 3 events"), std::string::npos);
+  EXPECT_NE(stats.output.find("vs 40 raw"), std::string::npos);
   EXPECT_NE(stats.output.find("run 1: 100 distinct bytes"),
             std::string::npos);
+}
 
-  const CommandResult stats1 = RunCli("provenance stats " + kel1);
-  EXPECT_EQ(stats1.exit_code, 0) << stats1.output;
-  EXPECT_NE(stats1.output.find("KEL1 store: 3 events"), std::string::npos);
+TEST(CliTest, ProvenanceRejectsNonKel2Store) {
+  const std::string junk = TempPath("cli_prov_junk.kel2");
+  std::FILE* f = std::fopen(junk.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fputs("JUNKJUNK not a lineage store\n", f);
+  std::fclose(f);
+  for (const std::string& verb :
+       {"query " + junk + " --range 0:100", "stats " + junk}) {
+    const CommandResult result = RunCli("provenance " + verb);
+    EXPECT_EQ(result.exit_code, 1) << verb;
+    EXPECT_NE(result.output.find("not a KEL2 event store: " + junk),
+              std::string::npos)
+        << result.output;
+  }
 }
 
 TEST(CliTest, GlobalUsageListsServeClientBlast) {
@@ -407,10 +407,10 @@ TEST(CliTest, ReplaySurfacesCorruptionNamingTheChunk) {
 }
 
 TEST(CliTest, ProvenanceQueryRejectsBadRange) {
-  const std::string kel1 = TempPath("cli_prov_bad.kel");
-  WriteKel1Fixture(kel1);
+  const std::string kel2 = TempPath("cli_prov_bad.kel2");
+  WriteKel2Fixture(kel2);
   const CommandResult result =
-      RunCli("provenance query " + kel1 + " --range 50:30");
+      RunCli("provenance query " + kel2 + " --range 50:30");
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_NE(result.output.find("invalid --range"), std::string::npos);
 }

@@ -8,12 +8,13 @@
 
 #include "array/data_array.h"
 #include "array/kdf_file.h"
-#include "audit/event_store.h"
 #include "carve/chunk_subset.h"
 #include "core/hybrid.h"
 #include "core/kondo.h"
 #include "core/metrics.h"
 #include "core/remote_fetch.h"
+#include "provenance/kel2_reader.h"
+#include "provenance/kel2_writer.h"
 #include "workloads/registry.h"
 
 namespace kondo {
@@ -249,18 +250,20 @@ Event MakeEvent(int64_t pid, EventType type, int64_t offset, int64_t size) {
   return event;
 }
 
+// The event store is KEL2, read back through ReadLineageStore.
+
 TEST(EventStoreTest, RoundTrip) {
-  const std::string path = TempPath("events.kel");
+  const std::string path = TempPath("events.kel2");
   {
-    StatusOr<EventStoreWriter> writer = EventStoreWriter::Create(path);
+    StatusOr<Kel2Writer> writer = Kel2Writer::Create(path);
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE(writer->Append(MakeEvent(1, EventType::kOpen, 0, 0)).ok());
     ASSERT_TRUE(writer->Append(MakeEvent(1, EventType::kPread, 24, 16)).ok());
     ASSERT_TRUE(writer->Append(MakeEvent(2, EventType::kMmap, 100, 64)).ok());
-    EXPECT_EQ(writer->events_written(), 3);
     ASSERT_TRUE(writer->Close().ok());
+    EXPECT_EQ(writer->events_written(), 3);
   }
-  StatusOr<std::vector<Event>> events = ReadEventStore(path);
+  StatusOr<std::vector<Event>> events = ReadLineageStore(path);
   ASSERT_TRUE(events.ok());
   ASSERT_EQ(events->size(), 3u);
   EXPECT_EQ((*events)[1].type, EventType::kPread);
@@ -273,59 +276,68 @@ TEST(EventStoreTest, AppendAllFromLog) {
   EventLog log;
   log.Record(MakeEvent(1, EventType::kRead, 0, 110));
   log.Record(MakeEvent(2, EventType::kRead, 70, 30));
-  const std::string path = TempPath("log.kel");
+  const std::string path = TempPath("log.kel2");
   {
-    StatusOr<EventStoreWriter> writer = EventStoreWriter::Create(path);
+    StatusOr<Kel2Writer> writer = Kel2Writer::Create(path);
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE(writer->AppendAll(log).ok());
   }
   // Replay into a fresh log: derived state matches.
+  StatusOr<std::vector<Event>> events = ReadLineageStore(path);
+  ASSERT_TRUE(events.ok()) << events.status();
   EventLog replayed;
-  ASSERT_TRUE(ReplayEventStore(path, &replayed).ok());
+  for (const Event& event : *events) {
+    replayed.Record(event);
+  }
   EXPECT_EQ(replayed.NumEvents(), 2);
   EXPECT_EQ(replayed.AccessedRanges(1).ToString(),
             log.AccessedRanges(1).ToString());
 }
 
 TEST(EventStoreTest, AppendAfterCloseFails) {
-  const std::string path = TempPath("closed.kel");
-  StatusOr<EventStoreWriter> writer = EventStoreWriter::Create(path);
+  const std::string path = TempPath("closed.kel2");
+  StatusOr<Kel2Writer> writer = Kel2Writer::Create(path);
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE(writer->Close().ok());
   EXPECT_EQ(writer->Append(MakeEvent(1, EventType::kRead, 0, 1)).code(),
             StatusCode::kFailedPrecondition);
+  EXPECT_EQ(writer->Flush().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(EventStoreTest, ToleratesTornTrailingRecord) {
-  const std::string path = TempPath("torn.kel");
+  const std::string path = TempPath("torn.kel2");
   {
-    StatusOr<EventStoreWriter> writer = EventStoreWriter::Create(path);
+    StatusOr<Kel2Writer> writer = Kel2Writer::Create(path);
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE(writer->Append(MakeEvent(1, EventType::kRead, 0, 8)).ok());
     ASSERT_TRUE(writer->Close().ok());
   }
-  // Simulate a torn write: append half a record of garbage.
+  // Simulate a torn write: append a partial block descriptor.
   std::FILE* f = std::fopen(path.c_str(), "ab");
   ASSERT_NE(f, nullptr);
   const char garbage[13] = {};
   std::fwrite(garbage, 1, sizeof(garbage), f);
   std::fclose(f);
 
-  StatusOr<std::vector<Event>> events = ReadEventStore(path);
+  StatusOr<std::vector<Event>> events = ReadLineageStore(path);
   ASSERT_TRUE(events.ok());
   EXPECT_EQ(events->size(), 1u);
 }
 
 TEST(EventStoreTest, RejectsWrongMagic) {
-  const std::string path = TempPath("bad.kel");
+  const std::string path = TempPath("bad.kel2");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::fwrite("JUNKJUNK", 1, 8, f);
   std::fclose(f);
-  EXPECT_FALSE(ReadEventStore(path).ok());
+  const Status status = ReadLineageStore(path).status();
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("not a KEL2 event store: " + path),
+            std::string::npos)
+      << status;
 }
 
 TEST(EventStoreTest, MissingFileIsNotFound) {
-  EXPECT_EQ(ReadEventStore(TempPath("absent.kel")).status().code(),
+  EXPECT_EQ(ReadLineageStore(TempPath("absent.kel2")).status().code(),
             StatusCode::kNotFound);
 }
 

@@ -13,7 +13,6 @@
 #include "array/kdf_file.h"
 #include "audit/auditor.h"
 #include "audit/event.h"
-#include "audit/event_store.h"
 #include "audit/offset_mapper.h"
 #include "audit/traced_file.h"
 #include "common/rng.h"
@@ -300,9 +299,9 @@ TEST(Kel2RoundTripTest, StencilCompressesAtLeastThreeFold) {
   const std::string kel2_path = WriteKel2("ratio.kel2", events);
   StatusOr<int64_t> kel2_bytes = FileSizeBytes(kel2_path);
   ASSERT_TRUE(kel2_bytes.ok());
-  const int64_t kel1_bytes =
-      8 + 40 * static_cast<int64_t>(events.size());
-  EXPECT_GE(static_cast<double>(kel1_bytes) /
+  // Against the raw 40-byte record per event.
+  const int64_t raw_bytes = 40 * static_cast<int64_t>(events.size());
+  EXPECT_GE(static_cast<double>(raw_bytes) /
                 static_cast<double>(*kel2_bytes),
             3.0);
 }
@@ -548,77 +547,7 @@ TEST(ProvenanceQueryTest, AccessedIndicesFeedTheCarver) {
   EXPECT_FALSE(indices->Contains(Index({3})));
 }
 
-// --------------------------------------------------- persist + compaction --
-
-TEST(PersistTest, Kel1PersisterWritesReplayableStore) {
-  const std::string data_path = TempPath("persist_data.kdf");
-  DataArray array(Shape({16}), DType::kFloat64);
-  array.FillPattern(1);
-  ASSERT_TRUE(WriteKdfFile(data_path, array).ok());
-  const std::string store_path = TempPath("persist.kel");
-  StatusOr<AuditReport> report = RunAudited(
-      data_path, /*pid=*/3,
-      [](TracedFile& file) -> Status {
-        return file.ReadElement(Index({2})).status();
-      },
-      MakeKel1Persister(store_path));
-  ASSERT_TRUE(report.ok()) << report.status();
-  StatusOr<std::vector<Event>> events = ReadEventStore(store_path);
-  ASSERT_TRUE(events.ok());
-  EXPECT_EQ(static_cast<int64_t>(events->size()), report->num_events);
-}
-
-TEST(PersistTest, CompactKel1ToKel2PreservesEvents) {
-  const std::vector<Event> events = ClusteredStream(3000, 17);
-  const std::string kel1_path = TempPath("compact_in.kel");
-  {
-    StatusOr<EventStoreWriter> writer = EventStoreWriter::Create(kel1_path);
-    ASSERT_TRUE(writer.ok());
-    for (const Event& event : events) {
-      ASSERT_TRUE(writer->Append(event).ok());
-    }
-    ASSERT_TRUE(writer->Close().ok());
-  }
-  const std::string kel2_path = TempPath("compact_out.kel2");
-  StatusOr<CompactStats> stats = CompactLineageStore(kel1_path, kel2_path);
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->events, 3000);
-  EXPECT_GT(stats->Ratio(), 1.0);
-
-  StatusOr<std::vector<Event>> got = ReadLineageStore(kel2_path);
-  ASSERT_TRUE(got.ok());
-  ExpectSameEvents(*got, events);
-}
-
-TEST(PersistTest, ReadLineageStoreDispatchesOnMagic) {
-  const std::vector<Event> events = StencilStream(100, 2);
-  const std::string kel1_path = TempPath("dispatch.kel");
-  {
-    StatusOr<EventStoreWriter> writer = EventStoreWriter::Create(kel1_path);
-    ASSERT_TRUE(writer.ok());
-    for (const Event& event : events) {
-      ASSERT_TRUE(writer->Append(event).ok());
-    }
-  }
-  const std::string kel2_path = WriteKel2("dispatch.kel2", events);
-  EXPECT_FALSE(IsKel2Store(kel1_path));
-  EXPECT_TRUE(IsKel2Store(kel2_path));
-
-  StatusOr<std::vector<Event>> kel1_events = ReadLineageStore(kel1_path);
-  StatusOr<std::vector<Event>> kel2_events = ReadLineageStore(kel2_path);
-  ASSERT_TRUE(kel1_events.ok());
-  ASSERT_TRUE(kel2_events.ok());
-  ExpectSameEvents(*kel1_events, events);
-  ExpectSameEvents(*kel2_events, events);
-
-  // Either store replays into an identical EventLog.
-  EventLog log1, log2;
-  ASSERT_TRUE(ReplayLineageStore(kel1_path, &log1).ok());
-  ASSERT_TRUE(ReplayLineageStore(kel2_path, &log2).ok());
-  EXPECT_EQ(log1.NumEvents(), log2.NumEvents());
-  EXPECT_EQ(log1.AccessedRanges(1).ToString(),
-            log2.AccessedRanges(1).ToString());
-}
+// ---------------------------------------------------------------- persist --
 
 TEST(PersistTest, RejectsNonPositiveBlockSize) {
   Kel2WriterOptions options;

@@ -741,6 +741,41 @@ TEST_F(ServeTest, QueryStreamsBatchesAndTotals) {
   server_->Stop();
 }
 
+TEST_F(ServeTest, QueryOnNonKel2PoolFileIsDataLoss) {
+  StartServer(ServeOptions{});
+  auto client = Client();
+  ASSERT_NE(client, nullptr);
+  // KEL2 is the only lineage store: any other pool file is damaged input,
+  // and no handle for it enters the pool.
+  const std::string stray_path = pool_root_ + "/stray.kel2";
+  {
+    std::FILE* stray = std::fopen(stray_path.c_str(), "wb");
+    ASSERT_NE(stray, nullptr);
+    std::fputs("JUNKJUNK not a lineage store", stray);
+    std::fclose(stray);
+  }
+  QueryRequest query;
+  query.store = "stray.kel2";
+  query.file_id = 1;
+  query.end = 96;
+  const Status status = client->QueryProvenance(query).status();
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+  EXPECT_NE(status.message().find("not a KEL2 event store"),
+            std::string::npos)
+      << status;
+  const ServeStatsSnapshot stats = server_->Stats();
+  EXPECT_EQ(stats.stores_open, 0);
+  EXPECT_EQ(stats.stores_reopened, 0);
+  EXPECT_EQ(stats.cache_entries, 0);
+  EXPECT_EQ(stats.cache_hits, 0);
+  EXPECT_EQ(stats.cache_misses, 0);
+  // The connection survives the error.
+  query.store = "trace.kel2";
+  EXPECT_TRUE(client->QueryProvenance(query).ok());
+  server_->Stop();
+  std::remove(stray_path.c_str());
+}
+
 TEST_F(ServeTest, SubmitRunsCampaignAndWritesLineage) {
   ServeOptions options;
   options.jobs = 2;

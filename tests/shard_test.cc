@@ -342,6 +342,33 @@ TEST(ShardStateTest, RoundTripsThroughDisk) {
   EXPECT_FALSE(LoadShardState(path, 6, shapes).ok());
 }
 
+TEST(ShardStateTest, OldStatsLineLayoutIsDataLoss) {
+  // An older KSS carried the wall time after the epsilon. Such a file is
+  // rejected (and its shard re-run), never read with every later field
+  // shifted by one — not even when the wall time parses as an integer.
+  const std::vector<Shape> shapes = {Shape{8}};
+  ShardCampaignResult result;
+  result.per_file.emplace_back(shapes[0]);
+  result.stats.iterations = 3;
+  result.stats.evaluations = 3;
+  result.stats.final_epsilon = 0.5;
+  const std::string encoded = EncodeShardState(2, result);
+  ASSERT_TRUE(DecodeShardState(encoded, "current", 2, shapes).ok());
+
+  const std::string t_line = "\nT 3 3 0 0 0.5 ";
+  const size_t t_pos = encoded.find(t_line);
+  ASSERT_NE(t_pos, std::string::npos) << encoded;
+  for (const char* elapsed : {"0.0123", "2"}) {
+    std::string old = encoded.substr(0, encoded.rfind("C "));
+    old.insert(t_pos + t_line.size(), std::string(elapsed) + " ");
+    AppendChecksumTrailer(&old);
+    const StatusOr<ShardCampaignResult> decoded =
+        DecodeShardState(old, "old", 2, shapes);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss)
+        << "elapsed " << elapsed << ": " << decoded.status();
+  }
+}
+
 // ----------------------------------------------- merged-result identity --
 
 TEST(ShardSchedulerTest, MergedResultIsBitIdenticalToUnsharded) {
@@ -418,18 +445,12 @@ TEST(ShardGoldenTest, StormArtifactsAreByteIdenticalToRecorded) {
   const std::string merged = ReadFileBytes(run->merged_lineage_path);
   EXPECT_EQ(merged.size(), 290542u);
   EXPECT_EQ(Crc32(merged.data(), merged.size()), 3829107164u);
-  // The KSS `T` line records the campaign's wall time and the `C` trailer
-  // checksums it, so those two lines are left out of the pinned bytes.
-  std::istringstream kss(
-      ReadFileBytes(options.output_dir + "/" + ShardStateFileName(0)));
-  std::string state;
-  for (std::string line; std::getline(kss, line);) {
-    if (line.rfind("T ", 0) != 0 && line.rfind("C ", 0) != 0) {
-      state += line + "\n";
-    }
-  }
-  EXPECT_EQ(state.size(), 276166u);
-  EXPECT_EQ(Crc32(state.data(), state.size()), 4009615672u);
+  // The KSS carries no wall time, so the whole file is pinned, `T` line
+  // and `C` trailer included.
+  const std::string state =
+      ReadFileBytes(options.output_dir + "/" + ShardStateFileName(0));
+  EXPECT_EQ(state.size(), 276225u);
+  EXPECT_EQ(Crc32(state.data(), state.size()), 489901840u);
 }
 
 TEST(ShardSchedulerTest, ResumesFromManifestOneShardAtATime) {

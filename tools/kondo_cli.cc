@@ -21,7 +21,6 @@
 //               [--shards N]
 //   kondo carve <program> --state <state.kcs> [--center X] [--boundary X]
 //   kondo pack-stats <pkg.kdp>
-//   kondo provenance compact <in.kel> <out.kel2> [--block N]
 //   kondo provenance query <store> --range A:B [--file F] [--runs]
 //   kondo provenance stats <store>
 //   kondo serve (--socket PATH | --port N) [--pool DIR] [--jobs N]
@@ -71,7 +70,6 @@
 #include "pack/pack_reader.h"
 #include "pack/pack_writer.h"
 #include "provenance/kel2_reader.h"
-#include "provenance/kel2_writer.h"
 #include "provenance/persist.h"
 #include "provenance/provenance_query.h"
 #include "serve/blast.h"
@@ -123,7 +121,6 @@ constexpr CommandHelp kCommandHelp[] = {
      "              [--boundary X]\n"},
     {"pack-stats", "  kondo pack-stats <pkg.kdp>\n"},
     {"provenance",
-     "  kondo provenance compact <in.kel> <out.kel2> [--block N]\n"
      "  kondo provenance query <store> --range A:B [--file F] [--runs]\n"
      "  kondo provenance stats <store>\n"},
     {"serve",
@@ -1039,35 +1036,6 @@ int CmdCarve(std::vector<std::string> args) {
 
 // ---------------------------------------------------------- provenance --
 
-int CmdProvenanceCompact(std::vector<std::string> args) {
-  const std::string block = TakeFlagValue(&args, "--block");
-  if (args.size() != 2) {
-    return UsageFor("provenance");
-  }
-  Kel2WriterOptions options;
-  if (!block.empty()) {
-    if (!ParseInt64(block, &options.events_per_block) ||
-        options.events_per_block <= 0) {
-      std::fprintf(stderr, "invalid --block value: %s\n", block.c_str());
-      return 1;
-    }
-  }
-  StatusOr<CompactStats> stats =
-      CompactLineageStore(args[0], args[1], options);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("compacted %s -> %s: %lld events in %lld blocks, "
-              "%lld -> %lld bytes (%.2fx smaller)\n",
-              args[0].c_str(), args[1].c_str(),
-              static_cast<long long>(stats->events),
-              static_cast<long long>(stats->blocks),
-              static_cast<long long>(stats->input_bytes),
-              static_cast<long long>(stats->output_bytes), stats->Ratio());
-  return 0;
-}
-
 int CmdProvenanceQuery(std::vector<std::string> args) {
   const std::string range = TakeFlagValue(&args, "--range");
   const std::string file = TakeFlagValue(&args, "--file");
@@ -1085,40 +1053,6 @@ int CmdProvenanceQuery(std::vector<std::string> args) {
   if (!file.empty() && !ParseInt64(file, &file_id)) {
     std::fprintf(stderr, "invalid --file value: %s\n", file.c_str());
     return 1;
-  }
-
-  if (!IsKel2Store(args[0])) {
-    // KEL1 has no block index: fall back to a full decode + filter.
-    StatusOr<std::vector<Event>> events = ReadLineageStore(args[0]);
-    if (!events.ok()) {
-      std::fprintf(stderr, "%s\n", events.status().ToString().c_str());
-      return 1;
-    }
-    std::vector<int64_t> pids;
-    int64_t matches = 0;
-    for (const Event& event : *events) {
-      if (event.IsDataAccess() && event.id.file_id == file_id &&
-          event.offset < end && begin < event.offset + event.size) {
-        ++matches;
-        pids.push_back(event.id.pid);
-        if (!runs_only) {
-          std::printf("%s\n", event.ToString().c_str());
-        }
-      }
-    }
-    std::sort(pids.begin(), pids.end());
-    pids.erase(std::unique(pids.begin(), pids.end()), pids.end());
-    if (runs_only) {
-      for (int64_t pid : pids) {
-        std::printf("%lld\n", static_cast<long long>(pid));
-      }
-    }
-    std::printf("%lld events, %zu runs in [%lld,%lld) — full scan of %zu "
-                "events (KEL1 store has no block index)\n",
-                static_cast<long long>(matches), pids.size(),
-                static_cast<long long>(begin), static_cast<long long>(end),
-                events->size());
-    return 0;
   }
 
   StatusOr<Kel2Reader> reader = Kel2Reader::Open(args[0]);
@@ -1164,17 +1098,6 @@ int CmdProvenanceStats(const std::string& path) {
     std::fprintf(stderr, "%s\n", file_bytes.status().ToString().c_str());
     return 1;
   }
-  if (!IsKel2Store(path)) {
-    StatusOr<std::vector<Event>> events = ReadLineageStore(path);
-    if (!events.ok()) {
-      std::fprintf(stderr, "%s\n", events.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("KEL1 store: %zu events, %lld bytes (40 bytes/event "
-                "fixed)\n",
-                events->size(), static_cast<long long>(*file_bytes));
-    return 0;
-  }
   StatusOr<Kel2Reader> reader = Kel2Reader::Open(path);
   if (!reader.ok()) {
     std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
@@ -1185,7 +1108,7 @@ int CmdProvenanceStats(const std::string& path) {
               static_cast<long long>(reader->NumBlocks()),
               static_cast<long long>(*file_bytes));
   if (reader->NumEvents() > 0) {
-    std::printf("density:    %.2f bytes/event (vs 40 in KEL1, %.2fx "
+    std::printf("density:    %.2f bytes/event (vs 40 raw, %.2fx "
                 "smaller)\n",
                 static_cast<double>(reader->BlockBytes()) /
                     static_cast<double>(reader->NumEvents()),
@@ -1227,9 +1150,6 @@ int CmdProvenance(std::vector<std::string> args) {
   }
   const std::string sub = args[0];
   args.erase(args.begin());
-  if (sub == "compact") {
-    return CmdProvenanceCompact(std::move(args));
-  }
   if (sub == "query") {
     return CmdProvenanceQuery(std::move(args));
   }
