@@ -1,5 +1,7 @@
 #include "array/index_set.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace kondo {
@@ -51,6 +53,30 @@ void IndexSet::InsertLinear(int64_t linear) {
   KONDO_CHECK_GE(linear, 0);
   KONDO_CHECK_LT(linear, num_elements_);
   InsertInRange(linear);
+}
+
+void IndexSet::InsertRange(int64_t lo, int64_t hi) {
+  KONDO_CHECK_GE(lo, 0);
+  KONDO_CHECK_LE(lo, hi);
+  KONDO_CHECK_LE(hi, num_elements_);
+  while (lo < hi) {
+    const int64_t page = lo >> kPageBits;
+    const int64_t stop = std::min(hi, (page + 1) << kPageBits);
+    uint64_t* words = PageWords(MutableSlot(page));
+    for (int64_t id = lo; id < stop;) {
+      // Bits [id, word_stop) of one word.
+      const int64_t word_stop = std::min(stop, (id | 63) + 1);
+      const int bits = static_cast<int>(word_stop - id);
+      const uint64_t mask = (bits == 64 ? ~uint64_t{0}
+                                        : (uint64_t{1} << bits) - 1)
+                            << (id & 63);
+      uint64_t& word = words[WordInPage(id)];
+      count_ += std::popcount(mask & ~word);
+      word |= mask;
+      id = word_stop;
+    }
+    lo = stop;
+  }
 }
 
 bool IndexSet::Contains(const Index& index) const {

@@ -40,6 +40,10 @@ class IndexSet {
   /// Inserts a linearised id. Requires 0 <= id < shape().NumElements().
   void InsertLinear(int64_t linear);
 
+  /// Inserts every linear id in [lo, hi) with word-wise fills. Requires
+  /// 0 <= lo <= hi <= shape().NumElements(); an empty range is a no-op.
+  void InsertRange(int64_t lo, int64_t hi);
+
   bool Contains(const Index& index) const;
   bool ContainsLinear(int64_t linear) const {
     const int32_t slot = linear < 0 ? -1 : SlotOf(linear >> kPageBits);

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -12,6 +13,9 @@ namespace kondo {
 namespace {
 
 constexpr char kMagic[4] = {'K', 'D', 'F', '1'};
+
+/// ReadAll streams the payload in blocks of this many bytes.
+constexpr int64_t kReadAllBlockBytes = int64_t{1} << 20;
 
 void AppendI64(std::string* out, int64_t value) {
   char buf[8];
@@ -274,17 +278,30 @@ StatusOr<int64_t> KdfReader::ReadRaw(int64_t offset, int64_t size,
 
 StatusOr<DataArray> KdfReader::ReadAll() const {
   DataArray array(shape(), header_.dtype);
-  char buf[16];
   const int64_t elem = layout_->element_size();
-  const int64_t n = shape().NumElements();
-  for (int64_t linear = 0; linear < n; ++linear) {
-    const Index index = shape().Delinearize(linear);
-    const int64_t offset = payload_offset() + layout_->ByteOffsetOf(index);
-    KONDO_ASSIGN_OR_RETURN(int64_t got, ReadRaw(offset, elem, buf));
-    if (got != elem) {
+  const int64_t payload = layout_->PayloadBytes();
+  // Every DType size divides kReadAllBlockBytes, so no element straddles two
+  // blocks; only one block is buffered at a time.
+  std::vector<char> buf(
+      static_cast<size_t>(std::min(kReadAllBlockBytes, payload)));
+  std::vector<ElementRun> runs;
+  for (int64_t begin = 0; begin < payload; begin += kReadAllBlockBytes) {
+    const int64_t end = std::min(payload, begin + kReadAllBlockBytes);
+    KONDO_ASSIGN_OR_RETURN(
+        int64_t got,
+        ReadRaw(payload_offset() + begin, end - begin, buf.data()));
+    if (got != end - begin) {
       return DataLossError("short read in ReadAll");
     }
-    array.SetLinear(linear, DecodeElement(buf, header_.dtype));
+    runs.clear();
+    layout_->ElementRunsInByteRange(begin, end, &runs);
+    for (const ElementRun& run : runs) {
+      const char* src = buf.data() + (run.byte_offset - begin);
+      for (int64_t i = 0; i < run.count; ++i) {
+        array.SetLinear(run.first_linear + i,
+                        DecodeElement(src + i * elem, header_.dtype));
+      }
+    }
   }
   return array;
 }

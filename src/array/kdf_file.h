@@ -45,8 +45,10 @@ Status WriteKdfFile(const std::string& path, const DataArray& array,
                     LayoutKind layout_kind = LayoutKind::kRowMajor,
                     std::vector<int64_t> chunk_dims = {});
 
-/// Random-access reader over a KDF file. All reads go through pread-style
-/// positioned reads so they can be interposed by the audit layer.
+/// Random-access reader over a KDF file. Every read is a positioned read
+/// (pread) of the caller's byte range; the reader keeps no state between
+/// reads, so callers that cache (the audit layer's TracedFile) own their
+/// caches.
 class KdfReader {
  public:
   ~KdfReader();
@@ -75,7 +77,8 @@ class KdfReader {
   /// Returns the number of bytes read (short reads at EOF are allowed).
   StatusOr<int64_t> ReadRaw(int64_t offset, int64_t size, char* buf) const;
 
-  /// Reads the entire array into memory.
+  /// Reads the entire array into memory, streaming the payload in
+  /// fixed-size blocks (one buffered at a time).
   StatusOr<DataArray> ReadAll() const;
 
   /// Underlying file descriptor (exposed for the audit layer's event ids).

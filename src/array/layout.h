@@ -13,6 +13,17 @@
 
 namespace kondo {
 
+/// A run of `count` elements whose storage starts at payload byte
+/// `byte_offset` and whose row-major linear ids are
+/// [first_linear, first_linear + count).
+struct ElementRun {
+  int64_t first_linear = 0;
+  int64_t count = 0;
+  int64_t byte_offset = 0;
+
+  friend bool operator==(const ElementRun&, const ElementRun&) = default;
+};
+
 /// Maps between logical index tuples and physical byte offsets inside a data
 /// file payload (Section IV-C: "Kondo must maintain a mapping between index
 /// tuples and byte offsets"). Offsets are relative to the payload start;
@@ -38,10 +49,14 @@ class Layout {
   /// pad edge chunks, as HDF5 does).
   virtual StatusOr<Index> IndexOfByteOffset(int64_t offset) const = 0;
 
-  /// Appends to `out` every element whose storage overlaps the byte range
-  /// [begin, end). Padding bytes are skipped.
-  void ElementsInByteRange(int64_t begin, int64_t end,
-                           std::vector<Index>* out) const;
+  /// Appends to `out`, in ascending byte order, runs covering every element
+  /// whose storage overlaps the byte range [begin, end): each run is a
+  /// stretch of elements contiguous both in storage and in row-major
+  /// linear ids. Padding bytes are skipped; the range is clipped to the
+  /// payload. A row-major layout yields at most one run, a chunked layout
+  /// one per chunk row (clipped to the shape at partial edge chunks).
+  virtual void ElementRunsInByteRange(int64_t begin, int64_t end,
+                                      std::vector<ElementRun>* out) const = 0;
 
   /// The byte range [first, last) occupied by the element at `index`.
   Interval ByteRangeOf(const Index& index) const;
@@ -64,6 +79,8 @@ class RowMajorLayout final : public Layout {
   int64_t PayloadBytes() const override;
   int64_t ByteOffsetOf(const Index& index) const override;
   StatusOr<Index> IndexOfByteOffset(int64_t offset) const override;
+  void ElementRunsInByteRange(int64_t begin, int64_t end,
+                              std::vector<ElementRun>* out) const override;
 };
 
 /// Chunked layout (HDF5-style): the array is tiled by fixed-size chunks laid
@@ -82,6 +99,8 @@ class ChunkedLayout final : public Layout {
   int64_t PayloadBytes() const override;
   int64_t ByteOffsetOf(const Index& index) const override;
   StatusOr<Index> IndexOfByteOffset(int64_t offset) const override;
+  void ElementRunsInByteRange(int64_t begin, int64_t end,
+                              std::vector<ElementRun>* out) const override;
 
  private:
   std::vector<int64_t> chunk_dims_;

@@ -6,13 +6,13 @@ namespace kondo {
 
 IndexSet OffsetMapper::IndicesForRanges(const IntervalSet& ranges) const {
   IndexSet result(layout_->shape());
-  std::vector<Index> scratch;
+  std::vector<ElementRun> runs;
   for (const Interval& range : ranges.ToIntervals()) {
-    scratch.clear();
-    layout_->ElementsInByteRange(range.begin - payload_offset_,
-                                 range.end - payload_offset_, &scratch);
-    for (const Index& index : scratch) {
-      result.Insert(index);
+    runs.clear();
+    layout_->ElementRunsInByteRange(range.begin - payload_offset_,
+                                    range.end - payload_offset_, &runs);
+    for (const ElementRun& run : runs) {
+      result.InsertRange(run.first_linear, run.first_linear + run.count);
     }
   }
   return result;

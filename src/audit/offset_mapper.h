@@ -23,7 +23,9 @@ class OffsetMapper {
 
   /// Maps merged accessed byte ranges to the set of touched element indices.
   /// Bytes inside the header or chunk padding map to no element. Partially
-  /// covered elements count as accessed.
+  /// covered elements count as accessed. Each range becomes the layout's
+  /// element runs (one for row-major, one per chunk row for chunked), each
+  /// inserted as a range of linear ids — no per-element work.
   IndexSet IndicesForRanges(const IntervalSet& ranges) const;
 
   /// Inverse: the byte ranges occupied by the elements of `indices`

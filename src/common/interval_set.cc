@@ -1,5 +1,6 @@
 #include "common/interval_set.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace kondo {
@@ -10,6 +11,18 @@ std::ostream& operator<<(std::ostream& os, const Interval& interval) {
 
 void IntervalSet::Add(int64_t begin, int64_t end) {
   if (end <= begin) {
+    return;
+  }
+  // Fast path: a range at or after the last interval (sorted construction,
+  // in-order event streams) either extends that interval or is appended,
+  // both O(1) amortised.
+  if (intervals_.empty() || begin >= intervals_.rbegin()->first) {
+    if (!intervals_.empty() && begin <= intervals_.rbegin()->second) {
+      int64_t& last_end = intervals_.rbegin()->second;
+      last_end = std::max(last_end, end);
+    } else {
+      intervals_.emplace_hint(intervals_.end(), begin, end);
+    }
     return;
   }
   // Find the first interval whose begin is > `begin`, then step back to

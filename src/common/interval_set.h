@@ -43,7 +43,9 @@ class IntervalSet {
   IntervalSet() = default;
 
   /// Inserts [begin, end); overlapping or adjacent intervals are coalesced.
-  /// Empty intervals are ignored.
+  /// Empty intervals are ignored. O(1) amortised when `begin` is at or
+  /// after the last interval's begin, so building from sorted ranges is
+  /// linear; O(log n) plus the absorbed intervals otherwise.
   void Add(int64_t begin, int64_t end);
   void Add(const Interval& interval) { Add(interval.begin, interval.end); }
 

@@ -48,6 +48,14 @@ constexpr size_t kKel2DescriptorBytes = 64;
 /// as corruption rather than an allocation request.
 constexpr uint32_t kKel2MaxPayloadBytes = 1u << 28;
 
+/// The most events a payload of `payload_bytes` can encode: every event
+/// takes at least one varint byte in each of the pid, file-id and offset
+/// columns. A descriptor claiming more is corrupt, and is rejected before
+/// anything is sized by its count.
+constexpr uint32_t Kel2MaxEventsFor(uint32_t payload_bytes) {
+  return payload_bytes / 3;
+}
+
 /// Decoded block descriptor plus the block's position within the file.
 struct Kel2BlockInfo {
   int64_t payload_pos = 0;  // Absolute file offset of the payload.

@@ -57,6 +57,12 @@ Kel2BlockInfo ParseDescriptor(const char* buf) {
 StatusOr<std::vector<Event>> DecodeKel2Payload(const char* payload,
                                                size_t size,
                                                uint32_t event_count) {
+  if (size > kKel2MaxPayloadBytes ||
+      event_count > Kel2MaxEventsFor(static_cast<uint32_t>(size))) {
+    return DataLossError(StrCat("KEL2 payload of ", size,
+                                " bytes cannot hold ", event_count,
+                                " events"));
+  }
   VarintReader in(payload, size);
   std::vector<int64_t> pids, file_ids;
   if (!DecodeDeltaColumn(&in, event_count, &pids) ||
@@ -137,6 +143,14 @@ StatusOr<Kel2Reader> Kel2Reader::Open(const std::string& path) {
       return DataLossError(StrCat("KEL2 block at offset ", pos,
                                   " declares implausible payload of ",
                                   info.payload_bytes, " bytes: ", path));
+    }
+    if (info.event_count > Kel2MaxEventsFor(info.payload_bytes)) {
+      std::fclose(file);
+      reader.file_ = nullptr;
+      return DataLossError(StrCat("KEL2 block at offset ", pos, " declares ",
+                                  info.event_count, " events in a ",
+                                  info.payload_bytes, "-byte payload: ",
+                                  path));
     }
     info.payload_pos = pos + static_cast<int64_t>(kKel2DescriptorBytes);
     // A torn write can leave the descriptor intact but the payload short:

@@ -4,6 +4,7 @@
 #include <iterator>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "array/data_array.h"
@@ -364,6 +365,43 @@ INSTANTIATE_TEST_SUITE_P(MultiPageShapes, IndexSetOracleTest,
 
 // ----------------------------------------------------------------- DType --
 
+// InsertRange's word-wise fill equals a loop of InsertLinear: ranges that
+// start and stop mid-word, span whole words, cross the 64 Ki-id page
+// boundaries at 65536 and 131072, and are empty.
+TEST(IndexSetTest, InsertRangeMatchesInsertLinearLoop) {
+  const Shape shape{3, 50000};
+  const int64_t n = shape.NumElements();
+  Rng rng(8);
+  std::vector<std::pair<int64_t, int64_t>> ranges = {
+      {0, 0},           {0, 1},          {63, 65},
+      {64, 128},        {65530, 65600},  {131000, 131072},
+      {131071, 131073}, {140000, n},     {100, 100},
+  };
+  for (int i = 0; i < 60; ++i) {
+    const int64_t lo = rng.UniformInt(0, n);
+    const int64_t len =
+        i % 3 == 0 ? rng.UniformInt(0, 70000) : rng.UniformInt(0, 300);
+    ranges.emplace_back(lo, std::min(n, lo + len));
+  }
+  IndexSet by_range(shape);
+  IndexSet by_id(shape);
+  for (const auto& [lo, hi] : ranges) {
+    by_range.InsertRange(lo, hi);
+    for (int64_t id = lo; id < hi; ++id) {
+      by_id.InsertLinear(id);
+    }
+    ASSERT_EQ(by_range.size(), by_id.size()) << "[" << lo << "," << hi << ")";
+  }
+  EXPECT_EQ(by_range.ToSortedLinearIds(), by_id.ToSortedLinearIds());
+  EXPECT_TRUE(by_range.IsSubsetOf(by_id));
+  EXPECT_TRUE(by_id.IsSubsetOf(by_range));
+
+  // An empty range on an untouched set allocates and inserts nothing.
+  IndexSet empty(shape);
+  empty.InsertRange(5, 5);
+  EXPECT_TRUE(empty.empty());
+}
+
 TEST(DTypeTest, Sizes) {
   EXPECT_EQ(DTypeSize(DType::kInt32), 4);
   EXPECT_EQ(DTypeSize(DType::kInt64), 8);
@@ -475,22 +513,22 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(LayoutTest, ElementsInByteRange) {
   RowMajorLayout layout(Shape{4, 4}, DType::kFloat64);
-  std::vector<Index> elements;
-  // Bytes [4, 20) touch elements 0, 1, 2 (element 2 partially).
-  layout.ElementsInByteRange(4, 20, &elements);
-  ASSERT_EQ(elements.size(), 3u);
-  EXPECT_EQ(elements[0], (Index{0, 0}));
-  EXPECT_EQ(elements[2], (Index{0, 2}));
+  std::vector<ElementRun> runs;
+  // Bytes [4, 20) touch elements 0, 1, 2 (element 2 partially): one run.
+  layout.ElementRunsInByteRange(4, 20, &runs);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0], (ElementRun{0, 3, 0}));
 }
 
 TEST(LayoutTest, ElementsInByteRangeClipsToPayload) {
   RowMajorLayout layout(Shape{2, 2}, DType::kFloat64);
-  std::vector<Index> elements;
-  layout.ElementsInByteRange(-100, 1000, &elements);
-  EXPECT_EQ(elements.size(), 4u);
-  elements.clear();
-  layout.ElementsInByteRange(50, 40, &elements);
-  EXPECT_TRUE(elements.empty());
+  std::vector<ElementRun> runs;
+  layout.ElementRunsInByteRange(-100, 1000, &runs);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0], (ElementRun{0, 4, 0}));
+  runs.clear();
+  layout.ElementRunsInByteRange(50, 40, &runs);
+  EXPECT_TRUE(runs.empty());
 }
 
 TEST(LayoutTest, ByteRangeOfCoversElement) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "array/data_array.h"
@@ -253,7 +256,147 @@ TEST(EventLogTest, ManyEventsBuildDeepIndex) {
   index->CheckInvariants();
 }
 
+TEST(EventLogTest, ProcessIndexIsRebuiltAfterRecord) {
+  // The per-process index is derived from the event stream on first use;
+  // a later Record invalidates it and the next lookup sees the new event.
+  EventLog log;
+  log.Record(MakeRead(1, 1, 0, 10));
+  const IntervalBTree* before = log.ProcessIndex(1, 1);
+  ASSERT_NE(before, nullptr);
+  EXPECT_EQ(before->size(), 1);
+  EXPECT_EQ(log.ProcessIndex(2, 1), nullptr);
+  log.Record(MakeRead(1, 1, 100, 10));
+  log.Record(MakeRead(2, 1, 5, 5));
+  const IntervalBTree* after = log.ProcessIndex(1, 1);
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->size(), 2);
+  ASSERT_NE(log.ProcessIndex(2, 1), nullptr);
+  EXPECT_EQ(log.LookupProcessRange(1, 1, 95, 105).size(), 1u);
+  log.Clear();
+  EXPECT_EQ(log.ProcessIndex(1, 1), nullptr);
+}
+
+TEST(EventLogTest, DerivedRangesMatchIncrementalReference) {
+  // Interleaved processes, files, event types and out-of-order offsets:
+  // the derived views equal an IntervalSet built event by event.
+  EventLog log;
+  Rng rng(12);
+  std::map<int64_t, IntervalSet> per_file;
+  std::map<std::pair<int64_t, int64_t>, IntervalSet> per_process;
+  std::map<int64_t, bool> writes;
+  for (int i = 0; i < 4000; ++i) {
+    Event event = MakeRead(rng.UniformInt(1, 3), rng.UniformInt(1, 2),
+                           rng.UniformInt(0, 5000), rng.UniformInt(0, 40));
+    event.type = static_cast<EventType>(rng.UniformInt(0, 5));
+    if (i % 3 != 0) {  // Mostly sequential reads, like a row walk.
+      event.offset = i * 8;
+      event.size = 8;
+      event.type = EventType::kPread;
+    }
+    log.Record(event);
+    if (event.IsDataAccess()) {
+      per_file[event.id.file_id].Add(event.offset,
+                                     event.offset + event.size);
+      per_process[{event.id.pid, event.id.file_id}].Add(
+          event.offset, event.offset + event.size);
+    }
+    writes[event.id.file_id] |= event.type == EventType::kWrite;
+  }
+  for (int64_t file = 1; file <= 2; ++file) {
+    EXPECT_EQ(log.AccessedRanges(file), per_file[file]);
+    EXPECT_EQ(log.HasWrites(file), writes[file]);
+    for (int64_t pid = 1; pid <= 3; ++pid) {
+      EXPECT_EQ(log.AccessedRangesForProcess(pid, file),
+                (per_process[{pid, file}]));
+    }
+  }
+}
+
 // ---------------------------------------------------------- OffsetMapper --
+
+// Every element whose storage overlaps [begin, end), one
+// IndexOfByteOffset call per element slot: the per-element mapping that the
+// run-wise mapper replaces, kept here as its oracle.
+std::vector<int64_t> PerElementIds(const Layout& layout, int64_t begin,
+                                   int64_t end) {
+  begin = std::max<int64_t>(begin, 0);
+  end = std::min(end, layout.PayloadBytes());
+  std::vector<int64_t> ids;
+  const int64_t elem = layout.element_size();
+  for (int64_t cursor = begin / elem * elem; cursor < end; cursor += elem) {
+    StatusOr<Index> index = layout.IndexOfByteOffset(cursor);
+    if (index.ok()) {
+      ids.push_back(layout.shape().Linearize(*index));
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+TEST(OffsetMapperTest, RunsMatchPerElementMappingWithPartialEdgeChunks) {
+  struct Case {
+    Shape shape;
+    std::vector<int64_t> chunks;  // Empty: row-major.
+    DType dtype;
+  };
+  const Case kCases[] = {
+      {Shape{10, 7}, {4, 3}, DType::kFloat64},
+      {Shape{13, 11}, {5, 4}, DType::kFloat128},
+      {Shape{5, 6, 7}, {2, 4, 3}, DType::kInt32},
+      {Shape{3, 4, 5, 6}, {2, 3, 2, 4}, DType::kFloat32},
+      {Shape{9}, {4}, DType::kInt64},
+      {Shape{8, 8}, {8, 8}, DType::kFloat64},
+      {Shape{9, 5}, {}, DType::kFloat64},
+      {Shape{4, 3, 5}, {}, DType::kInt32},
+  };
+  Rng rng(41);
+  for (const Case& c : kCases) {
+    const std::unique_ptr<Layout> layout = MakeLayout(
+        c.chunks.empty() ? LayoutKind::kRowMajor : LayoutKind::kChunked,
+        c.shape, c.dtype, c.chunks);
+    const int64_t payload_offset = 40;
+    OffsetMapper mapper(layout.get(), payload_offset);
+    const int64_t file_end = payload_offset + layout->PayloadBytes();
+    for (int trial = 0; trial < 200; ++trial) {
+      const int64_t a = rng.UniformInt(0, file_end + 10);
+      const int64_t b = rng.UniformInt(0, file_end + 10);
+      const int64_t begin = std::min(a, b);
+      const int64_t end = std::max(a, b) + 1;
+      SCOPED_TRACE(c.shape.ToString() + " [" + std::to_string(begin) + "," +
+                   std::to_string(end) + ")");
+
+      // The runs cover exactly the per-element ids, in ascending byte
+      // order, and each run's byte offset addresses its own elements.
+      std::vector<ElementRun> runs;
+      layout->ElementRunsInByteRange(begin - payload_offset,
+                                     end - payload_offset, &runs);
+      std::vector<int64_t> from_runs;
+      int64_t last_byte = -1;
+      for (const ElementRun& run : runs) {
+        ASSERT_GT(run.count, 0);
+        EXPECT_GT(run.byte_offset, last_byte);
+        last_byte = run.byte_offset;
+        for (int64_t i = 0; i < run.count; ++i) {
+          from_runs.push_back(run.first_linear + i);
+          StatusOr<Index> index = layout->IndexOfByteOffset(
+              run.byte_offset + i * layout->element_size());
+          ASSERT_TRUE(index.ok());
+          EXPECT_EQ(c.shape.Linearize(*index), run.first_linear + i);
+        }
+      }
+      std::sort(from_runs.begin(), from_runs.end());
+      const std::vector<int64_t> expected = PerElementIds(
+          *layout, begin - payload_offset, end - payload_offset);
+      EXPECT_EQ(from_runs, expected);
+
+      IntervalSet ranges;
+      ranges.Add(begin, end);
+      EXPECT_EQ(mapper.IndicesForRanges(ranges).ToSortedLinearIds(),
+                expected);
+    }
+  }
+}
 
 TEST(OffsetMapperTest, RangesToIndicesRowMajor) {
   RowMajorLayout layout(Shape{4, 4}, DType::kFloat64);
@@ -307,6 +450,91 @@ TEST(OffsetMapperTest, RoundTripIndexSet) {
 }
 
 // ------------------------------------------------------------ TracedFile --
+
+// The page-cached ReadElement returns exactly what the uncached
+// KdfReader::ReadElement returns, for every DType and both layouts, with a
+// last partial page and (for the wider types) more pages than cache slots,
+// read in a column-major order that hops between pages. The logged event
+// is the element's byte range either way.
+TEST(TracedFileCacheTest, ReadElementMatchesKdfReaderEverywhere) {
+  for (const DType dtype : {DType::kInt32, DType::kInt64, DType::kFloat32,
+                            DType::kFloat64, DType::kFloat128}) {
+    for (const LayoutKind layout_kind :
+         {LayoutKind::kRowMajor, LayoutKind::kChunked}) {
+      SCOPED_TRACE(std::string(DTypeName(dtype)) +
+                   (layout_kind == LayoutKind::kChunked ? " chunked"
+                                                        : " row-major"));
+      const Shape shape{131, 67};
+      DataArray array(shape, dtype);
+      array.FillPattern(9);
+      const std::string path = TempPath(
+          std::string("cache_") + std::string(DTypeName(dtype)) + "_" +
+          std::to_string(static_cast<int>(layout_kind)) + ".kdf");
+      ASSERT_TRUE(WriteKdfFile(path, array, layout_kind, {16, 10}).ok());
+      StatusOr<KdfReader> reader = KdfReader::Open(path);
+      ASSERT_TRUE(reader.ok());
+      ASSERT_NE(reader->layout().PayloadBytes() % 4096, 0);
+      EventLog log;
+      StatusOr<TracedFile> file = TracedFile::Open(path, 1, 1, &log);
+      ASSERT_TRUE(file.ok());
+      for (int pass = 0; pass < 2; ++pass) {
+        for (int64_t col = 0; col < shape.dim(1); ++col) {
+          for (int64_t row = 0; row < shape.dim(0); ++row) {
+            const Index index{row, col};
+            StatusOr<double> cached = file->ReadElement(index);
+            StatusOr<double> direct = reader->ReadElement(index);
+            ASSERT_TRUE(cached.ok()) << cached.status();
+            ASSERT_TRUE(direct.ok());
+            ASSERT_EQ(*cached, *direct) << index;
+            const Event& event = log.events().back();
+            EXPECT_EQ(event.type, EventType::kPread);
+            EXPECT_EQ(event.offset, reader->payload_offset() +
+                                        reader->layout().ByteOffsetOf(index));
+            EXPECT_EQ(event.size, reader->layout().element_size());
+          }
+        }
+      }
+    }
+  }
+}
+
+// A file cut short after Open: elements wholly inside the remaining bytes
+// read their true values, and every other element — including the one the
+// cut splits, and those on pages entirely past the end — is DATA_LOSS,
+// never stale or zero bytes.
+TEST(TracedFileCacheTest, TruncatedAfterOpenIsDataLoss) {
+  const Shape shape{64, 64};
+  DataArray array(shape, DType::kFloat64);
+  array.FillWith([&shape](const Index& index) {
+    return 1.0 + static_cast<double>(shape.Linearize(index));
+  });
+  const std::string path = TempPath("cache_truncated.kdf");
+  ASSERT_TRUE(WriteKdfFile(path, array).ok());
+  EventLog log;
+  StatusOr<TracedFile> file = TracedFile::Open(path, 1, 1, &log);
+  ASSERT_TRUE(file.ok());
+  const int64_t kept = 4096 + 1004;  // Payload bytes left: mid-element.
+  ASSERT_EQ(::truncate(path.c_str(), file->reader().payload_offset() + kept),
+            0);
+  int64_t ok_reads = 0;
+  for (int64_t linear = 0; linear < shape.NumElements(); ++linear) {
+    const Index index = shape.Delinearize(linear);
+    StatusOr<double> value = file->ReadElement(index);
+    if ((linear + 1) * 8 <= kept) {
+      ASSERT_TRUE(value.ok()) << index << " " << value.status();
+      EXPECT_EQ(*value, array.At(index));
+      ++ok_reads;
+    } else {
+      ASSERT_FALSE(value.ok()) << index;
+      EXPECT_EQ(value.status().code(), StatusCode::kDataLoss);
+      EXPECT_NE(value.status().message().find("short read"),
+                std::string::npos);
+    }
+  }
+  EXPECT_EQ(ok_reads, kept / 8);
+  // Every read, failed or not, was still audited.
+  EXPECT_EQ(log.NumEvents(), 1 + shape.NumElements());
+}
 
 class TracedFileTest : public ::testing::Test {
  protected:

@@ -5,9 +5,12 @@
 
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "audit/event.h"
+#include "provenance/crc32.h"
+#include "provenance/kel2_format.h"
 #include "provenance/kel2_writer.h"
 
 namespace kondo {
@@ -289,6 +292,67 @@ TEST(CliTest, ProvenanceRejectsNonKel2Store) {
               std::string::npos)
         << result.output;
   }
+}
+
+TEST(CliTest, ProvenanceRejectsEventCountBeyondPayload) {
+  // One block claiming 2^32-1 events in a 2-byte payload: DATA_LOSS and
+  // exit 1, not an allocation failure.
+  const std::string path = TempPath("cli_prov_overclaim.kel2");
+  const char payload[2] = {0, 0};
+  char descriptor[kKel2DescriptorBytes] = {};
+  const uint32_t payload_bytes = sizeof(payload);
+  const uint32_t crc = Crc32(payload, sizeof(payload));
+  const uint32_t event_count = 0xffffffffu;
+  std::memcpy(descriptor, &payload_bytes, 4);
+  std::memcpy(descriptor + 4, &crc, 4);
+  std::memcpy(descriptor + 8, &event_count, 4);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(kKel2Magic, 1, 4, f);
+  std::fwrite("\0\0\0\0", 1, 4, f);
+  std::fwrite(descriptor, 1, sizeof(descriptor), f);
+  std::fwrite(payload, 1, sizeof(payload), f);
+  std::fclose(f);
+  for (const std::string& verb :
+       {"query " + path + " --range 0:100", "stats " + path}) {
+    const CommandResult result = RunCli("provenance " + verb);
+    EXPECT_EQ(result.exit_code, 1) << verb << "\n" << result.output;
+    EXPECT_NE(result.output.find("DATA_LOSS"), std::string::npos)
+        << result.output;
+    EXPECT_NE(result.output.find("4294967295 events"), std::string::npos)
+        << result.output;
+  }
+}
+
+TEST(CliTest, ProvenanceStatsListsOnlyFileIdsPresent) {
+  // Two events in one block with file ids 1 and 4,000,000: stats reports
+  // exactly those two files, not every id in between.
+  const std::string path = TempPath("cli_prov_sparse_ids.kel2");
+  StatusOr<Kel2Writer> writer = Kel2Writer::Create(path);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  for (const int64_t file_id : {int64_t{1}, int64_t{4000000}}) {
+    Event event;
+    event.id = EventId{7, file_id};
+    event.type = EventType::kPread;
+    event.offset = 0;
+    event.size = 16;
+    ASSERT_TRUE(writer->Append(event).ok());
+  }
+  ASSERT_TRUE(writer->Close().ok());
+  const CommandResult stats = RunCli("provenance stats " + path);
+  EXPECT_EQ(stats.exit_code, 0) << stats.output;
+  EXPECT_NE(stats.output.find("file 1 run 7: 16 distinct bytes"),
+            std::string::npos)
+      << stats.output;
+  EXPECT_NE(stats.output.find("file 4000000 run 7: 16 distinct bytes"),
+            std::string::npos)
+      << stats.output;
+  size_t files = 0;
+  for (size_t pos = stats.output.find("\nfile "); pos != std::string::npos;
+       pos = stats.output.find("\nfile ", pos + 1)) {
+    ++files;
+  }
+  EXPECT_EQ(files, 2u) << stats.output;
 }
 
 TEST(CliTest, GlobalUsageListsServeClientBlast) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "common/interval_set.h"
 #include "common/logging.h"
@@ -327,6 +328,65 @@ TEST(IntervalSetTest, RandomizedAgainstBruteForce) {
     const std::vector<Interval> intervals = set.ToIntervals();
     for (size_t i = 1; i < intervals.size(); ++i) {
       EXPECT_GT(intervals[i].begin, intervals[i - 1].end);
+    }
+  }
+}
+
+// Maximal runs of a coverage bitmap: the reference an IntervalSet must
+// equal after every operation.
+std::vector<Interval> RunsOf(const std::vector<bool>& covered) {
+  std::vector<Interval> runs;
+  for (int64_t x = 0; x < static_cast<int64_t>(covered.size()); ++x) {
+    if (!covered[static_cast<size_t>(x)]) {
+      continue;
+    }
+    if (!runs.empty() && runs.back().end == x) {
+      runs.back().end = x + 1;
+    } else {
+      runs.push_back(Interval{x, x + 1});
+    }
+  }
+  return runs;
+}
+
+TEST(IntervalSetTest, RandomOpsMatchReferenceOnBothPaths) {
+  // Half the adds start at or after the last interval's begin (the O(1)
+  // append/extend path), half anywhere (the general path); after each add
+  // the intervals and every query match a coverage bitmap.
+  Rng rng(123);
+  constexpr int64_t kDomain = 400;
+  for (int trial = 0; trial < 40; ++trial) {
+    IntervalSet set;
+    std::vector<bool> covered(kDomain, false);
+    for (int op = 0; op < 60; ++op) {
+      const std::vector<Interval> before = set.ToIntervals();
+      int64_t begin = rng.UniformInt(0, kDomain - 30);
+      if (op % 2 == 0 && !before.empty()) {
+        begin = std::min<int64_t>(kDomain - 30,
+                                  before.back().begin + rng.UniformInt(0, 20));
+      }
+      const int64_t end = begin + rng.UniformInt(0, 25);
+      set.Add(begin, end);
+      for (int64_t x = begin; x < end; ++x) {
+        covered[static_cast<size_t>(x)] = true;
+      }
+      ASSERT_EQ(set.ToIntervals(), RunsOf(covered))
+          << "trial " << trial << " op " << op << " add [" << begin << ","
+          << end << ")";
+      const int64_t qb = rng.UniformInt(0, kDomain - 1);
+      const int64_t qe = qb + rng.UniformInt(0, 30);
+      bool all = true;
+      bool any = false;
+      for (int64_t x = qb; x < std::min(qe, kDomain); ++x) {
+        all = all && covered[static_cast<size_t>(x)];
+        any = any || covered[static_cast<size_t>(x)];
+      }
+      if (qe > kDomain) {
+        all = false;
+      }
+      EXPECT_EQ(set.ContainsRange(qb, qe), all || qe <= qb);
+      EXPECT_EQ(set.Intersects(qb, qe), any);
+      EXPECT_EQ(set.Contains(qb), covered[static_cast<size_t>(qb)]);
     }
   }
 }

@@ -31,6 +31,7 @@
 #include "exec/result_collector.h"
 #include "exec/test_candidate.h"
 #include "exec/thread_pool.h"
+#include "provenance/crc32.h"
 #include "provenance/kel2_reader.h"
 #include "provenance/persist.h"
 #include "workloads/registry.h"
@@ -411,6 +412,65 @@ TEST(ExecDeterminismTest, AuditedLineageStoreByteIdenticalAcrossJobs) {
   }
   EXPECT_EQ(static_cast<int>(pids.size()),
             parallel.fuzz.stats.evaluations);
+}
+
+// Audited campaigns of LDC and PRL over a row-major and a chunked KDF (the
+// chunked one has partial edge chunks), recorded when every element read
+// was its own pread, every event a per-process B-tree insert and every
+// accessed element its own Index. Any change to the audit data path (read
+// caching, event bookkeeping, offset mapping) must reproduce the sealed
+// KEL2 bytes and the merged accessed set exactly.
+TEST(ExecDeterminismTest, AuditedCampaignMatchesRecordedGolden) {
+  struct Golden {
+    const char* program;
+    LayoutKind layout;
+    uint64_t kel2_bytes;
+    uint32_t kel2_crc;
+    int64_t accessed;
+    uint32_t accessed_crc;
+  };
+  const Golden kGolden[] = {
+      {"LDC", LayoutKind::kRowMajor, 20275, 1177287465u, 450, 1175481390u},
+      {"LDC", LayoutKind::kChunked, 20518, 942951719u, 450, 1175481390u},
+      {"PRL", LayoutKind::kRowMajor, 72104, 1851900527u, 1440, 2155119048u},
+      {"PRL", LayoutKind::kChunked, 73541, 2891841076u, 1440, 2155119048u},
+  };
+  for (const Golden& golden : kGolden) {
+    const bool chunked = golden.layout == LayoutKind::kChunked;
+    SCOPED_TRACE(std::string(golden.program) +
+                 (chunked ? " chunked" : " row-major"));
+    std::unique_ptr<Program> program = CreateProgram(golden.program, 40);
+    DataArray array(program->data_shape(), DType::kFloat64);
+    array.FillPattern(5);
+    const std::string tag =
+        std::string(golden.program) + (chunked ? "_chunked" : "_rowmajor");
+    const std::string data_path = TempPath("golden_" + tag + ".kdf");
+    ASSERT_TRUE(WriteKdfFile(data_path, array, golden.layout,
+                             chunked ? std::vector<int64_t>{16, 16}
+                                     : std::vector<int64_t>{})
+                    .ok());
+    const std::string store_path = TempPath("golden_" + tag + ".kel2");
+    StatusOr<CampaignLineageSink> sink =
+        CampaignLineageSink::Create(store_path);
+    ASSERT_TRUE(sink.ok());
+    ResultCollector collector(program->data_shape(), sink->persister());
+    KondoConfig config;
+    config.rng_seed = 7;
+    config.fuzz.max_iter = 300;
+    config.jobs = 2;
+    KondoPipeline(config).RunWithCandidateTest(
+        MakeAuditedCandidateTest(*program, data_path),
+        program->param_space(), program->data_shape(), &collector);
+    ASSERT_TRUE(sink->Close().ok());
+
+    const std::string bytes = ReadFileBytes(store_path);
+    const std::vector<int64_t> ids = collector.merged().ToSortedLinearIds();
+    EXPECT_EQ(bytes.size(), golden.kel2_bytes);
+    EXPECT_EQ(Crc32(bytes.data(), bytes.size()), golden.kel2_crc);
+    EXPECT_EQ(static_cast<int64_t>(ids.size()), golden.accessed);
+    EXPECT_EQ(Crc32(ids.data(), ids.size() * sizeof(int64_t)),
+              golden.accessed_crc);
+  }
 }
 
 // The executor overload of FuzzSchedule::Run must reproduce the serial

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -237,6 +239,38 @@ TEST(KdfFileTest, FileBytesMatchesHeaderPlusPayload) {
   // Header: 8 fixed + 2*8 dims; payload 16 elements * 16 bytes.
   EXPECT_EQ(reader->payload_offset(), 24);
   EXPECT_EQ(reader->FileBytes(), 24 + 256);
+}
+
+// ReadAll streams the payload in 1 MiB blocks: a chunked payload of about
+// 2 MiB with partial edge chunks crosses block boundaries mid-chunk, and
+// every element must still land at its own index.
+TEST(KdfFileTest, ReadAllAcrossBlocksMatchesArray) {
+  for (const LayoutKind layout_kind :
+       {LayoutKind::kRowMajor, LayoutKind::kChunked}) {
+    DataArray array(Shape{300, 230}, DType::kFloat128);
+    array.FillPattern(23);
+    const std::string path =
+        TempPath("blocks_" + std::to_string(static_cast<int>(layout_kind)) +
+                 ".kdf");
+    ASSERT_TRUE(WriteKdfFile(path, array, layout_kind, {64, 48}).ok());
+    StatusOr<KdfReader> reader = KdfReader::Open(path);
+    ASSERT_TRUE(reader.ok());
+    ASSERT_GT(reader->layout().PayloadBytes(), int64_t{1} << 20);
+    StatusOr<DataArray> back = reader->ReadAll();
+    ASSERT_TRUE(back.ok()) << back.status();
+    EXPECT_EQ(back->values(), array.values());
+  }
+}
+
+TEST(KdfFileTest, ReadAllOfTruncatedPayloadIsDataLoss) {
+  DataArray array(Shape{40, 40}, DType::kFloat64);
+  array.FillPattern(3);
+  const std::string path = TempPath("readall_truncated.kdf");
+  ASSERT_TRUE(WriteKdfFile(path, array).ok());
+  StatusOr<KdfReader> reader = KdfReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_EQ(::truncate(path.c_str(), reader->FileBytes() - 4), 0);
+  EXPECT_EQ(reader->ReadAll().status().code(), StatusCode::kDataLoss);
 }
 
 TEST(KdfFileTest, ReadRawShortReadAtEof) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <string>
@@ -381,6 +382,41 @@ TEST(Kel2CrashTest, NotAKel2StoreRejected) {
   EXPECT_EQ(Kel2Reader::Open(path).status().code(), StatusCode::kDataLoss);
   EXPECT_EQ(Kel2Reader::Open(TempPath("absent.kel2")).status().code(),
             StatusCode::kNotFound);
+}
+
+// A 74-byte store whose one block claims 2^32-1 events in a 2-byte payload
+// (with a valid CRC): the count must be rejected before anything is sized
+// by it.
+TEST(Kel2CrashTest, EventCountBeyondPayloadIsDataLoss) {
+  const std::string path = TempPath("overclaim.kel2");
+  const char payload[2] = {0, 0};
+  char descriptor[kKel2DescriptorBytes] = {};
+  const uint32_t payload_bytes = sizeof(payload);
+  const uint32_t crc = Crc32(payload, sizeof(payload));
+  const uint32_t event_count = std::numeric_limits<uint32_t>::max();
+  std::memcpy(descriptor, &payload_bytes, 4);
+  std::memcpy(descriptor + 4, &crc, 4);
+  std::memcpy(descriptor + 8, &event_count, 4);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(kKel2Magic, 1, 4, f);
+  std::fwrite("\0\0\0\0", 1, 4, f);
+  std::fwrite(descriptor, 1, sizeof(descriptor), f);
+  std::fwrite(payload, 1, sizeof(payload), f);
+  std::fclose(f);
+
+  const StatusOr<Kel2Reader> reader = Kel2Reader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(reader.status().message().find("4294967295 events"),
+            std::string::npos)
+      << reader.status();
+  EXPECT_EQ(ReadLineageStore(path).status().code(), StatusCode::kDataLoss);
+  // The payload decoder applies the same bound to its own arguments.
+  EXPECT_EQ(DecodeKel2Payload(payload, sizeof(payload), event_count)
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(Kel2CrashTest, AppendAfterCloseFails) {

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +24,8 @@
 #include "exec/thread_pool.h"
 #include "gtest/gtest.h"
 #include "pack/pack_writer.h"
+#include "provenance/crc32.h"
+#include "provenance/kel2_format.h"
 #include "provenance/kel2_writer.h"
 #include "serve/artifact_pool.h"
 #include "serve/blast.h"
@@ -774,6 +777,47 @@ TEST_F(ServeTest, QueryOnNonKel2PoolFileIsDataLoss) {
   EXPECT_TRUE(client->QueryProvenance(query).ok());
   server_->Stop();
   std::remove(stray_path.c_str());
+}
+
+TEST_F(ServeTest, QueryOnOverclaimingStoreIsDataLoss) {
+  StartServer(ServeOptions{});
+  auto client = Client();
+  ASSERT_NE(client, nullptr);
+  // One block claiming 2^32-1 events in a 2-byte payload: the daemon
+  // answers DATA_LOSS instead of sizing a decode by the claimed count.
+  const std::string path = pool_root_ + "/overclaim.kel2";
+  {
+    const char payload[2] = {0, 0};
+    char descriptor[kKel2DescriptorBytes] = {};
+    const uint32_t payload_bytes = sizeof(payload);
+    const uint32_t crc = Crc32(payload, sizeof(payload));
+    const uint32_t event_count = 0xffffffffu;
+    std::memcpy(descriptor, &payload_bytes, 4);
+    std::memcpy(descriptor + 4, &crc, 4);
+    std::memcpy(descriptor + 8, &event_count, 4);
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(kKel2Magic, 1, 4, f);
+    std::fwrite("\0\0\0\0", 1, 4, f);
+    std::fwrite(descriptor, 1, sizeof(descriptor), f);
+    std::fwrite(payload, 1, sizeof(payload), f);
+    std::fclose(f);
+  }
+  QueryRequest query;
+  query.store = "overclaim.kel2";
+  query.file_id = 0;
+  query.end = 96;
+  const Status status = client->QueryProvenance(query).status();
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+  EXPECT_NE(status.message().find("4294967295 events"), std::string::npos)
+      << status;
+  EXPECT_EQ(server_->Stats().stores_open, 0);
+  // The connection survives the error.
+  query.store = "trace.kel2";
+  query.file_id = 1;
+  EXPECT_TRUE(client->QueryProvenance(query).ok());
+  server_->Stop();
+  std::remove(path.c_str());
 }
 
 TEST_F(ServeTest, SubmitRunsCampaignAndWritesLineage) {

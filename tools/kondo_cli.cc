@@ -42,7 +42,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1116,17 +1118,24 @@ int CmdProvenanceStats(const std::string& path) {
                     static_cast<double>(reader->BlockBytes()));
   }
   ProvenanceQuery query(&*reader);
-  // Distinct file ids are bounded by the per-block ranges; collect them
-  // from the descriptors instead of decoding payloads.
-  std::vector<int64_t> file_ids;
-  for (const Kel2BlockInfo& block : reader->blocks()) {
-    for (int64_t f = block.min_file_id; f <= block.max_file_id; ++f) {
-      file_ids.push_back(f);
+  // The file ids present: a block whose descriptor pins one id needs no
+  // decode; any other block is decoded and its events' ids collected.
+  std::set<int64_t> file_ids;
+  for (size_t b = 0; b < reader->blocks().size(); ++b) {
+    const Kel2BlockInfo& block = reader->blocks()[b];
+    if (block.min_file_id == block.max_file_id) {
+      file_ids.insert(block.min_file_id);
+      continue;
+    }
+    StatusOr<std::vector<Event>> events = reader->DecodeBlock(b);
+    if (!events.ok()) {
+      std::fprintf(stderr, "%s\n", events.status().ToString().c_str());
+      return 1;
+    }
+    for (const Event& event : *events) {
+      file_ids.insert(event.id.file_id);
     }
   }
-  std::sort(file_ids.begin(), file_ids.end());
-  file_ids.erase(std::unique(file_ids.begin(), file_ids.end()),
-                 file_ids.end());
   for (int64_t file_id : file_ids) {
     StatusOr<std::map<int64_t, int64_t>> coverage =
         query.PerRunCoverage(file_id);
