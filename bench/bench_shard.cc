@@ -31,7 +31,6 @@
 //        KONDO_BENCH_SHARD_REPS        timing reps, best-of (default 2)
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -48,6 +47,7 @@
 #include "shard/merge_stage.h"
 #include "shard/shard_campaign.h"
 #include "shard/shard_plan.h"
+#include "shard/shard_scheduler.h"
 #include "workloads/registry.h"
 
 namespace kondo {
@@ -162,54 +162,26 @@ struct WorkloadResult {
 };
 
 /// One sharded campaign over the library's planner / per-shard campaign /
-/// merge stages, scheduled the way ShardScheduler schedules: one shared
-/// pool, one plain driver thread per running shard, non-owning executors.
-/// (The bench drives these pieces directly rather than RunShardedCampaign
-/// so the modelled persistence hook can stand in for the KEL2 sinks.)
+/// merge stages, scheduled by RunShardedCampaign's RunOnSharedPool. (The
+/// bench drives these pieces directly rather than RunShardedCampaign so
+/// the modelled persistence hook can stand in for the KEL2 sinks.)
 MergedCampaign RunSharded(const MultiFileProgram& program,
                           const KondoConfig& config, const BenchConfig& bench,
                           int64_t ns_per_byte) {
-  std::vector<Shape> shapes;
-  for (int f = 0; f < program.num_files(); ++f) {
-    shapes.push_back(program.file_shape(f));
-  }
-  StatusOr<ShardPlan> plan = PlanShards(shapes, bench.shards);
+  StatusOr<ShardPlan> plan = PlanShards(program.FileShapes(), bench.shards);
   KONDO_CHECK(plan.ok()) << plan.status();
 
   const AuditPersistFn persist = ModelledPersist(ns_per_byte);
   std::vector<ShardCampaignResult> results(
       static_cast<size_t>(plan->num_shards()));
-  if (bench.jobs <= 1) {
-    CampaignExecutor executor(1);
-    for (const Shard& shard : plan->shards) {
-      StatusOr<ShardCampaignResult> run =
-          RunShardCampaign(program, *plan, shard, config, executor, persist);
-      KONDO_CHECK(run.ok()) << run.status();
-      results[static_cast<size_t>(shard.id)] = *std::move(run);
-    }
-  } else {
-    ThreadPool pool(bench.jobs);
-    const size_t drivers = std::min(results.size(),
-                                    static_cast<size_t>(bench.jobs));
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> threads;
-    threads.reserve(drivers);
-    for (size_t d = 0; d < drivers; ++d) {
-      threads.emplace_back([&] {
-        CampaignExecutor executor(&pool, bench.jobs);
-        for (size_t s = next.fetch_add(1); s < results.size();
-             s = next.fetch_add(1)) {
-          StatusOr<ShardCampaignResult> run = RunShardCampaign(
-              program, *plan, plan->shards[s], config, executor, persist);
-          KONDO_CHECK(run.ok()) << run.status();
-          results[s] = *std::move(run);
-        }
-      });
-    }
-    for (std::thread& thread : threads) {
-      thread.join();
-    }
-  }
+  RunOnSharedPool(bench.jobs, results.size(),
+                  [&](size_t s, CampaignExecutor& executor) {
+                    StatusOr<ShardCampaignResult> run = RunShardCampaign(
+                        program, *plan, plan->shards[s], config, executor,
+                        persist);
+                    KONDO_CHECK(run.ok()) << run.status();
+                    results[s] = *std::move(run);
+                  });
 
   CampaignExecutor merge_executor(bench.jobs);
   StatusOr<MergedCampaign> merged =

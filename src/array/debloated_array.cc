@@ -32,10 +32,10 @@ void DebloatedArray::RebuildRankDirectory() {
 }
 
 bool DebloatedArray::IsRetained(const Index& index) const {
-  if (!shape_.Contains(index)) {
+  const int64_t linear = shape_.LinearOrNegative(index);
+  if (linear < 0) {
     return false;
   }
-  const int64_t linear = shape_.Linearize(index);
   return (bitmap_[static_cast<size_t>(linear / 64)] >> (linear % 64)) & 1;
 }
 
@@ -46,10 +46,10 @@ int64_t DebloatedArray::PackedPosition(int64_t linear) const {
 }
 
 StatusOr<double> DebloatedArray::At(const Index& index) const {
-  if (!shape_.Contains(index)) {
+  const int64_t linear = shape_.LinearOrNegative(index);
+  if (linear < 0) {
     return OutOfRangeError("index out of bounds");
   }
-  const int64_t linear = shape_.Linearize(index);
   if (((bitmap_[static_cast<size_t>(linear / 64)] >> (linear % 64)) & 1) ==
       0) {
     return DataMissingError("access to debloated (Null) index " +

@@ -28,22 +28,8 @@ void IndexSet::InsertInRange(int64_t linear) {
   word |= bit;
 }
 
-int64_t IndexSet::LinearOrNegative(const Index& index) const {
-  if (index.rank() != shape_.rank()) {
-    return -1;
-  }
-  int64_t linear = 0;
-  for (int d = 0; d < shape_.rank(); ++d) {
-    if (index[d] < 0 || index[d] >= shape_.dim(d)) {
-      return -1;
-    }
-    linear = linear * shape_.dim(d) + index[d];
-  }
-  return linear;
-}
-
 void IndexSet::Insert(const Index& index) {
-  const int64_t linear = LinearOrNegative(index);
+  const int64_t linear = shape_.LinearOrNegative(index);
   if (linear >= 0) {
     InsertInRange(linear);
   }
@@ -80,7 +66,7 @@ void IndexSet::InsertRange(int64_t lo, int64_t hi) {
 }
 
 bool IndexSet::Contains(const Index& index) const {
-  const int64_t linear = LinearOrNegative(index);
+  const int64_t linear = shape_.LinearOrNegative(index);
   return linear >= 0 && ContainsLinear(linear);
 }
 

@@ -120,10 +120,6 @@ class IndexSet {
   /// insert, the directory) when it is untouched.
   int32_t MutableSlot(int64_t page);
   void InsertInRange(int64_t linear);
-  /// Shape::Contains and Shape::Linearize in one pass (ground-truth
-  /// enumeration inserts tens of millions of indices): the row-major id
-  /// of `index`, or -1 when it lies outside the shape.
-  int64_t LinearOrNegative(const Index& index) const;
 
   Shape shape_;
   int64_t num_elements_ = 1;  // Cached shape_.NumElements() (rank 0: 1).

@@ -41,11 +41,8 @@ bool Shape::Contains(const Index& index) const {
 }
 
 int64_t Shape::Linearize(const Index& index) const {
-  KONDO_CHECK(Contains(index));
-  int64_t linear = 0;
-  for (int d = 0; d < rank(); ++d) {
-    linear = linear * dims_[d] + index[d];
-  }
+  const int64_t linear = LinearOrNegative(index);
+  KONDO_CHECK_GE(linear, 0);
   return linear;
 }
 

@@ -30,22 +30,15 @@ MultiKondoResult RunMultiFileKondo(const MultiFileProgram& program,
     return result;
   }
 
-  const int files = program.num_files();
-
   // The schedule tracks discovery over a synthetic combined index space:
   // file f's element `linear` maps to global id (offset_f + linear). This
   // preserves the stopping criteria ("no new offset in any file") without
   // teaching the schedule about files.
-  std::vector<int64_t> offsets(static_cast<size_t>(files) + 1, 0);
-  std::vector<Shape> file_shapes;
-  file_shapes.reserve(static_cast<size_t>(files));
-  for (int f = 0; f < files; ++f) {
-    offsets[static_cast<size_t>(f) + 1] =
-        offsets[static_cast<size_t>(f)] +
-        program.file_shape(f).NumElements();
-    file_shapes.push_back(program.file_shape(f));
-  }
-  const Shape combined_shape({offsets.back()});
+  StatusOr<ShardPlan> geometry = PlanGeometry(program.FileShapes());
+  KONDO_CHECK(geometry.ok()) << geometry.status();
+  const std::vector<Shape>& file_shapes = geometry->file_shapes;
+  const std::vector<int64_t>& offsets = geometry->offsets;
+  const Shape combined_shape = geometry->combined_shape();
 
   // Each test returns its own per-file access sets (no shared side channel
   // — workers may run tests concurrently and speculatively); the
@@ -60,13 +53,14 @@ MultiKondoResult RunMultiFileKondo(const MultiFileProgram& program,
       result.per_file.emplace_back(shape);
     }
     program.Execute(candidate.value, [&](int file, const Index& index) {
-      const Shape& shape = file_shapes[static_cast<size_t>(file)];
-      if (!shape.Contains(index)) {
+      const int64_t linear =
+          file_shapes[static_cast<size_t>(file)].LinearOrNegative(index);
+      if (linear < 0) {
         return;
       }
-      result.per_file[static_cast<size_t>(file)].Insert(index);
+      result.per_file[static_cast<size_t>(file)].InsertLinear(linear);
       result.accessed.InsertLinear(offsets[static_cast<size_t>(file)] +
-                                   shape.Linearize(index));
+                                   linear);
     });
     return result;
   };
@@ -82,7 +76,7 @@ MultiKondoResult RunMultiFileKondo(const MultiFileProgram& program,
   result.fuzz_stats = fuzz.stats;
   result.per_file_discovered = collector.TakePerFile();
   Carver carver(config.carve);
-  for (int f = 0; f < files; ++f) {
+  for (int f = 0; f < geometry->num_files(); ++f) {
     CarveStats stats;
     const CarvedSubset carved =
         carver.Carve(result.per_file_discovered[static_cast<size_t>(f)],

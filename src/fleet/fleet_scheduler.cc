@@ -8,19 +8,13 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "common/thread_annotations.h"
-#include "exec/thread_pool.h"
 #include "provenance/crc32.h"
 #include "serve/kpc.h"
-#include "shard/merge_stage.h"
 #include "shard/shard_campaign.h"
 #include "shard/shard_manifest.h"
 
 namespace kondo {
 namespace {
-
-std::string JoinPath(const std::string& dir, const std::string& name) {
-  return dir + "/" + name;
-}
 
 /// Shared dispatch state of one fleet run. Worker threads take shards from
 /// `pending`, mirror every transition into the manifest, and wake each
@@ -144,28 +138,33 @@ StatusOr<ShardCampaignResult> CommitShardResult(const std::string& output_dir,
   // Duplicate tolerance: a shard may complete twice (a requeued dispatch
   // racing a straggler's late result). Artefacts are pure functions of
   // (program, plan, config), so agreement on the fingerprint makes the
-  // duplicate a no-op and disagreement a determinism violation.
+  // duplicate a no-op and disagreement a determinism violation. A shard
+  // whose committed store was damaged after its commit (the one resume
+  // re-dispatches) agrees too, but its store is rewritten below.
   const std::string state_path =
-      JoinPath(output_dir, ShardStateFileName(result.shard));
+      output_dir + "/" + ShardStateFileName(result.shard);
+  const std::string lineage_path =
+      output_dir + "/" + ShardLineageFileName(result.shard);
   ShardArtifactInfo existing;
   StatusOr<ShardCampaignResult> committed =
       LoadShardState(state_path, result.shard, plan.file_shapes, &existing);
   if (committed.ok()) {
-    if (existing.lineage_bytes == info.lineage_bytes &&
-        existing.lineage_crc == info.lineage_crc) {
+    if (existing != info) {
+      return InternalError(
+          StrCat("duplicate completion for shard ", result.shard,
+                 " disagrees with the committed artefact fingerprint"));
+    }
+    const StatusOr<ShardArtifactInfo> stored = HashFileArtifact(lineage_path);
+    if (stored.ok() && *stored == info) {
       return decoded;
     }
-    return InternalError(
-        StrCat("duplicate completion for shard ", result.shard,
-               " disagrees with the committed artefact fingerprint"));
   }
 
   // Commit the store first, then the state that vouches for it — the same
   // order the local scheduler uses, so a crash between the two leaves a
   // pending shard, never a state file fingerprinting a missing store.
   {
-    StatusOr<AtomicFile> file = AtomicFile::Create(
-        JoinPath(output_dir, ShardLineageFileName(result.shard)), env);
+    StatusOr<AtomicFile> file = AtomicFile::Create(lineage_path, env);
     KONDO_RETURN_IF_ERROR(file.status());
     KONDO_RETURN_IF_ERROR(file->Append(result.kel2));
     KONDO_RETURN_IF_ERROR(file->Commit());
@@ -189,69 +188,16 @@ StatusOr<ShardedRunResult> RunFleetCampaign(const MultiFileProgram& program,
         "a fleet campaign requires at least one worker endpoint");
   }
 
-  std::vector<Shape> file_shapes;
-  file_shapes.reserve(static_cast<size_t>(program.num_files()));
-  for (int f = 0; f < program.num_files(); ++f) {
-    file_shapes.push_back(program.file_shape(f));
-  }
   KONDO_ASSIGN_OR_RETURN(
-      ShardPlan plan,
-      PlanShards(file_shapes, options.shards, options.plan_weights));
-
-  KONDO_RETURN_IF_ERROR(EnsureCampaignDirectory(options.output_dir));
-  const std::string manifest_path =
-      JoinPath(options.output_dir, kShardManifestFileName);
-  ShardManifest manifest = MakeShardManifest(plan, config.rng_seed);
-  {
-    StatusOr<ShardManifest> loaded = LoadShardManifest(manifest_path);
-    if (loaded.ok()) {
-      KONDO_RETURN_IF_ERROR(
-          CheckManifestMatchesPlan(*loaded, plan, config.rng_seed));
-      manifest = std::move(*loaded);
-    } else if (loaded.status().code() == StatusCode::kNotFound) {
-      KONDO_RETURN_IF_ERROR(
-          SaveShardManifest(manifest_path, manifest, options.env));
-    } else {
-      return loaded.status();
-    }
-  }
-
-  std::vector<ShardCampaignResult> results(
-      static_cast<size_t>(plan.num_shards()));
-  std::vector<char> have(static_cast<size_t>(plan.num_shards()), 0);
-
-  // Resume re-verification — the same demote-and-rerun rule the local
-  // scheduler applies (see LoadVerifiedShard).
-  bool demoted = false;
-  for (int s = 0; s < manifest.num_shards(); ++s) {
-    if (manifest.statuses[static_cast<size_t>(s)] != ShardStatus::kFuzzed) {
-      continue;
-    }
-    StatusOr<ShardCampaignResult> loaded =
-        LoadVerifiedShard(options.output_dir, s, plan);
-    if (!loaded.ok()) {
-      KONDO_LOG(Warning) << "shard " << s
-                         << " failed resume verification, re-running: "
-                         << loaded.status();
-      manifest.statuses[static_cast<size_t>(s)] = ShardStatus::kPending;
-      manifest.merged = false;
-      demoted = true;
-      continue;
-    }
-    results[static_cast<size_t>(s)] = std::move(*loaded);
-    have[static_cast<size_t>(s)] = 1;
-  }
-  if (demoted) {
-    KONDO_RETURN_IF_ERROR(
-        SaveShardManifest(manifest_path, manifest, options.env));
-  }
+      ShardedCampaign campaign,
+      OpenShardedCampaign(program, config.rng_seed, options.shards,
+                          options.plan_weights, options.output_dir,
+                          options.env));
+  const ShardPlan& plan = campaign.plan;
+  ShardManifest& manifest = campaign.manifest;
 
   FleetState state;
-  for (int s = 0; s < manifest.num_shards(); ++s) {
-    if (manifest.statuses[static_cast<size_t>(s)] == ShardStatus::kPending) {
-      state.pending.push_back(s);
-    }
-  }
+  state.pending.assign(campaign.pending.begin(), campaign.pending.end());
 
   if (!state.pending.empty()) {
     NetEnv* net = options.net != nullptr ? options.net : NetEnv::Default();
@@ -265,7 +211,7 @@ StatusOr<ShardedRunResult> RunFleetCampaign(const MultiFileProgram& program,
     Status last_connect_error;
     for (const SocketAddress& address : options.workers) {
       StatusOr<std::unique_ptr<Connection>> conn =
-          HandshakeWorker(net, address, hello, file_shapes,
+          HandshakeWorker(net, address, hello, plan.file_shapes,
                           options.heartbeat_timeout_micros);
       if (!conn.ok()) {
         KONDO_LOG(Warning) << "fleet worker " << address.ToString()
@@ -285,8 +231,7 @@ StatusOr<ShardedRunResult> RunFleetCampaign(const MultiFileProgram& program,
                            last_connect_error.message()));
     }
 
-    const auto worker_loop = [&plan, &manifest, &manifest_path, &results,
-                              &have, &state,
+    const auto worker_loop = [&campaign, &plan, &manifest, &state,
                               &options](FleetWorkerLink* link) {
       while (true) {
         int s = -1;
@@ -313,8 +258,8 @@ StatusOr<ShardedRunResult> RunFleetCampaign(const MultiFileProgram& program,
           }
           manifest.dispatch_counts[static_cast<size_t>(s)] = dispatches + 1;
           ++state.in_flight;
-          const Status saved =
-              SaveShardManifest(manifest_path, manifest, options.env);
+          const Status saved = SaveShardManifest(campaign.manifest_path,
+                                                 manifest, options.env);
           if (!saved.ok()) {
             state.fatal = saved;
             state.cv.NotifyAll();
@@ -339,12 +284,11 @@ StatusOr<ShardedRunResult> RunFleetCampaign(const MultiFileProgram& program,
           state.cv.NotifyAll();
           return;
         }
-        results[static_cast<size_t>(s)] = std::move(*run);
-        have[static_cast<size_t>(s)] = 1;
+        campaign.results[static_cast<size_t>(s)] = std::move(*run);
         manifest.statuses[static_cast<size_t>(s)] = ShardStatus::kFuzzed;
         ++state.committed_now;
-        const Status saved =
-            SaveShardManifest(manifest_path, manifest, options.env);
+        const Status saved = SaveShardManifest(campaign.manifest_path,
+                                               manifest, options.env);
         if (!saved.ok() && state.fatal.ok()) {
           state.fatal = saved;
         }
@@ -368,50 +312,17 @@ StatusOr<ShardedRunResult> RunFleetCampaign(const MultiFileProgram& program,
           state.last_worker_error.code(),
           StrCat("all fleet workers were lost with ", state.pending.size(),
                  " shard(s) pending (progress is preserved in ",
-                 manifest_path,
+                 campaign.manifest_path,
                  "): ", state.last_worker_error.message()));
     }
   }
 
-  ShardedRunResult out;
-  out.shards_total = plan.num_shards();
+  int committed_now = 0;
   {
     MutexLock lock(state.mu);
-    out.shards_fuzzed_now = state.committed_now;
+    committed_now = state.committed_now;
   }
-
-  // Shards fuzzed by earlier invocations merge from their state files;
-  // shards committed just now merge from memory.
-  for (int s = 0; s < plan.num_shards(); ++s) {
-    if (!have[static_cast<size_t>(s)]) {
-      KONDO_ASSIGN_OR_RETURN(
-          results[static_cast<size_t>(s)],
-          LoadShardState(JoinPath(options.output_dir, ShardStateFileName(s)),
-                         s, plan.file_shapes));
-    }
-  }
-
-  CampaignExecutor merge_executor(ClampJobs(config.jobs));
-  KONDO_ASSIGN_OR_RETURN(
-      out.merged,
-      MergeShardCampaigns(plan, results, config, merge_executor));
-  std::vector<std::string> shard_paths;
-  shard_paths.reserve(static_cast<size_t>(plan.num_shards()));
-  for (int s = 0; s < plan.num_shards(); ++s) {
-    shard_paths.push_back(
-        JoinPath(options.output_dir, ShardLineageFileName(s)));
-  }
-  out.merged_lineage_path =
-      JoinPath(options.output_dir, kMergedLineageFileName);
-  Kel2WriterOptions merge_options;
-  merge_options.env = options.env;
-  KONDO_RETURN_IF_ERROR(MergeShardLineageStores(
-      shard_paths, out.merged_lineage_path, merge_options));
-  manifest.merged = true;
-  KONDO_RETURN_IF_ERROR(
-      SaveShardManifest(manifest_path, manifest, options.env));
-  out.complete = true;
-  return out;
+  return FinishShardedCampaign(campaign, config, committed_now);
 }
 
 }  // namespace kondo

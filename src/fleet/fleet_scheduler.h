@@ -60,12 +60,11 @@ struct FleetOptions {
 };
 
 /// Distributes a sharded campaign over remote workers and merges the
-/// results bit-identically to the local RunShardedCampaign:
+/// results bit-identically to the local RunShardedCampaign, whose skeleton
+/// it shares (shard/shard_scheduler.h); only how pending shards run differs:
 ///
-///  * plans shards (weighted or uniform) and reconciles the plan against
-///    the campaign directory's manifest exactly like the local scheduler —
-///    including demoting fuzzed shards whose artefacts fail
-///    LoadVerifiedShard re-verification;
+///  * OpenShardedCampaign plans, reconciles the manifest and demotes
+///    fuzzed shards whose artefacts fail re-verification;
 ///  * handshakes every worker (kHello), failing any whose echoed file
 ///    geometry disagrees with the plan;
 ///  * dispatches pending shards over the surviving workers, one in flight
@@ -76,9 +75,8 @@ struct FleetOptions {
 ///  * commits each result through CommitShardResult (fingerprint-verified,
 ///    duplicate-tolerant) and records progress in the manifest after every
 ///    state change, so a coordinator crash resumes losslessly;
-///  * merges through the shard-count-invariant MergeShardCampaigns /
-///    MergeShardLineageStores, making merged.kel2 byte-identical to the
-///    single-process campaign at any worker count and failure schedule.
+///  * FinishShardedCampaign merges, making merged.kel2 byte-identical to
+///    the single-process campaign at any worker count and failure schedule.
 ///
 /// Fails (preserving manifest progress) when every worker is lost with
 /// shards still pending, or when one shard exhausts `max_dispatches`.
@@ -91,8 +89,9 @@ StatusOr<ShardedRunResult> RunFleetCampaign(const MultiFileProgram& program,
 /// decode (checksum trailer, header, plan-consistent ids) and carry an `A`
 /// fingerprint matching the delivered KEL2 bytes exactly. A duplicate
 /// completion — the state file already committed — is tolerated when the
-/// fingerprints agree (the commit is idempotent; nothing is rewritten) and
-/// is an internal error when they disagree, since shard artefacts are pure
+/// fingerprints agree (the commit is idempotent; nothing is rewritten
+/// unless the committed store no longer matches its fingerprint) and is an
+/// internal error when they disagree, since shard artefacts are pure
 /// functions of (program, plan, config). Returns the decoded result.
 StatusOr<ShardCampaignResult> CommitShardResult(const std::string& output_dir,
                                                 const ShardPlan& plan,

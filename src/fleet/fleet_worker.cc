@@ -11,7 +11,6 @@
 #include "core/kondo.h"
 #include "exec/campaign_executor.h"
 #include "provenance/crc32.h"
-#include "provenance/persist.h"
 #include "serve/kpc.h"
 #include "shard/shard_campaign.h"
 #include "shard/shard_manifest.h"
@@ -177,14 +176,7 @@ Status FleetWorker::HandleHello(Session* session, const KpcFrame& frame) {
     return unknown;
   }
 
-  session->plan = ShardPlan();
-  session->plan.offsets.push_back(0);
-  for (int f = 0; f < program->num_files(); ++f) {
-    const Shape& shape = program->file_shape(f);
-    session->plan.file_shapes.push_back(shape);
-    session->plan.offsets.push_back(session->plan.offsets.back() +
-                                    shape.NumElements());
-  }
+  KONDO_ASSIGN_OR_RETURN(session->plan, PlanGeometry(program->FileShapes()));
   session->fuzz = hello.fuzz;
   session->rng_seed = hello.rng_seed;
   session->program = std::move(program);
@@ -273,31 +265,20 @@ StatusOr<ShardResultMsg> FleetWorker::RunAssignedShard(
       }
     });
   }
-  const auto finish_heartbeat = [&campaign_done, &heartbeat] {
-    campaign_done.store(true);
-    if (heartbeat.joinable()) {
-      heartbeat.join();
-    }
-  };
 
-  Kel2WriterOptions sink_options;
-  sink_options.env = options_.env;
-  StatusOr<CampaignLineageSink> sink =
-      CampaignLineageSink::Create(lineage_path, sink_options);
-  if (!sink.ok()) {
-    finish_heartbeat();
-    return sink.status();
-  }
   KondoConfig config;
   config.fuzz = session->fuzz;
   config.rng_seed = session->rng_seed;
   config.jobs = options_.jobs;
   CampaignExecutor executor(options_.jobs);
-  StatusOr<ShardCampaignResult> run = RunShardCampaign(
-      *session->program, plan, shard, config, executor, sink->persister());
-  const Status sealed = run.ok() ? sink->Close() : run.status();
-  finish_heartbeat();
-  KONDO_RETURN_IF_ERROR(sealed);
+  StatusOr<ShardCampaignResult> run =
+      RunSealedShardCampaign(*session->program, plan, shard, config, executor,
+                             lineage_path, options_.env);
+  campaign_done.store(true);
+  if (heartbeat.joinable()) {
+    heartbeat.join();
+  }
+  KONDO_RETURN_IF_ERROR(run.status());
 
   std::string kel2;
   KONDO_RETURN_IF_ERROR(ReadFileToString(lineage_path, &kel2));

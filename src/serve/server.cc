@@ -21,12 +21,6 @@ int LatencyBucket(int64_t micros) {
   return bucket;
 }
 
-int EffectiveJobs(int jobs) {
-  if (jobs > 0) return jobs;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
 }  // namespace
 
 KondoServer::KondoServer(ServeOptions options)
@@ -43,7 +37,8 @@ Status KondoServer::Start() {
     }
     started_ = true;
   }
-  workers_ = std::make_unique<ThreadPool>(EffectiveJobs(options_.jobs));
+  workers_ = std::make_unique<ThreadPool>(
+      options_.jobs > 0 ? ClampJobs(options_.jobs) : HardwareThreads());
   KONDO_ASSIGN_OR_RETURN(listener_,
                          NetEnv::Default()->Listen(options_.address));
   bound_address_ = listener_->address();

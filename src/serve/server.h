@@ -27,7 +27,8 @@ struct ServeOptions {
   /// Directory of served artifacts (`.kdp`, `.kel2`) and campaign output.
   std::string pool_root = ".";
 
-  /// Campaign worker threads; 0 = hardware concurrency.
+  /// Campaign worker threads, clamped by ClampJobs; 0 = hardware
+  /// concurrency.
   int jobs = 0;
 
   /// Subset cache capacity in bytes.

@@ -11,6 +11,7 @@
 #include "common/strings.h"
 #include "exec/result_collector.h"
 #include "provenance/crc32.h"
+#include "provenance/persist.h"
 #include "shard/shard_manifest.h"
 
 namespace kondo {
@@ -79,11 +80,11 @@ StatusOr<ShardCampaignResult> RunShardCampaign(
       result.per_file.emplace_back(shape);
     }
     program.Execute(candidate.value, [&](int file, const Index& index) {
-      const Shape& shape = file_shapes[static_cast<size_t>(file)];
-      if (!shape.Contains(index)) {
+      const int64_t linear =
+          file_shapes[static_cast<size_t>(file)].LinearOrNegative(index);
+      if (linear < 0) {
         return;
       }
-      const int64_t linear = shape.Linearize(index);
       // Progress tracking spans *all* files: the combined accessed set is
       // what the schedule's stopping criteria consume, and it must match
       // the unsharded campaign's trajectory exactly for every shard to
@@ -116,6 +117,23 @@ StatusOr<ShardCampaignResult> RunShardCampaign(
   result.per_file = collector.TakePerFile();
   result.seeds = std::move(fuzz.seeds);
   result.stats = std::move(fuzz.stats);
+  return result;
+}
+
+StatusOr<ShardCampaignResult> RunSealedShardCampaign(
+    const MultiFileProgram& program, const ShardPlan& plan,
+    const Shard& shard, const KondoConfig& config, CampaignExecutor& executor,
+    const std::string& lineage_path, Env* env) {
+  Kel2WriterOptions sink_options;
+  sink_options.env = env;
+  KONDO_ASSIGN_OR_RETURN(
+      CampaignLineageSink sink,
+      CampaignLineageSink::Create(lineage_path, sink_options));
+  KONDO_ASSIGN_OR_RETURN(
+      ShardCampaignResult result,
+      RunShardCampaign(program, plan, shard, config, executor,
+                       sink.persister()));
+  KONDO_RETURN_IF_ERROR(sink.Close());
   return result;
 }
 

@@ -56,6 +56,15 @@ StatusOr<ShardCampaignResult> RunShardCampaign(
     const Shard& shard, const KondoConfig& config, CampaignExecutor& executor,
     const AuditPersistFn& persist = {});
 
+/// RunShardCampaign with the shard's lineage persisted to a fresh KEL2 store
+/// at `lineage_path` (written through `env`; nullptr = real filesystem),
+/// sealed before the result returns. Shared by the local scheduler and
+/// fleet workers, which then fingerprint the store into a KSS.
+StatusOr<ShardCampaignResult> RunSealedShardCampaign(
+    const MultiFileProgram& program, const ShardPlan& plan,
+    const Shard& shard, const KondoConfig& config, CampaignExecutor& executor,
+    const std::string& lineage_path, Env* env);
+
 /// Whole-file fingerprint of a sealed shard artefact (its KEL2 lineage
 /// store), recorded in the shard's KSS so a resume can detect a
 /// truncated or corrupted artefact — Kel2Reader alone silently drops a
@@ -63,6 +72,9 @@ StatusOr<ShardCampaignResult> RunShardCampaign(
 struct ShardArtifactInfo {
   int64_t lineage_bytes = -1;  // -1 = no lineage store recorded.
   uint32_t lineage_crc = 0;
+
+  friend bool operator==(const ShardArtifactInfo&,
+                         const ShardArtifactInfo&) = default;
 };
 
 /// Reads `path` fully and returns its byte count + CRC32 (kNotFound when

@@ -61,16 +61,10 @@ std::vector<ShardSlice> SplitFile(int file, int64_t elements, int64_t parts) {
 
 }  // namespace
 
-StatusOr<ShardPlan> PlanShards(const std::vector<Shape>& file_shapes,
-                               int shards) {
-  if (shards <= 0) {
-    return InvalidArgumentError(
-        StrCat("shards must be positive, got ", shards));
-  }
+StatusOr<ShardPlan> PlanGeometry(const std::vector<Shape>& file_shapes) {
   if (file_shapes.empty()) {
     return InvalidArgumentError("cannot plan shards over zero files");
   }
-
   ShardPlan plan;
   plan.file_shapes = file_shapes;
   plan.offsets.assign(file_shapes.size() + 1, 0);
@@ -83,6 +77,16 @@ StatusOr<ShardPlan> PlanShards(const std::vector<Shape>& file_shapes,
     }
     plan.offsets[f + 1] = plan.offsets[f] + elements;
   }
+  return plan;
+}
+
+StatusOr<ShardPlan> PlanShards(const std::vector<Shape>& file_shapes,
+                               int shards) {
+  if (shards <= 0) {
+    return InvalidArgumentError(
+        StrCat("shards must be positive, got ", shards));
+  }
+  KONDO_ASSIGN_OR_RETURN(ShardPlan plan, PlanGeometry(file_shapes));
 
   const int files = static_cast<int>(file_shapes.size());
   const int64_t total = plan.offsets.back();
@@ -219,18 +223,7 @@ StatusOr<ShardPlan> PlanShards(const std::vector<Shape>& file_shapes,
     }
   }
 
-  ShardPlan plan;
-  plan.file_shapes = file_shapes;
-  plan.offsets.assign(file_shapes.size() + 1, 0);
-  for (size_t f = 0; f < file_shapes.size(); ++f) {
-    const int64_t elements = file_shapes[f].NumElements();
-    if (elements <= 0) {
-      return InvalidArgumentError(
-          StrCat("file ", f, " has no elements (shape ",
-                 file_shapes[f].ToString(), ")"));
-    }
-    plan.offsets[f + 1] = plan.offsets[f] + elements;
-  }
+  KONDO_ASSIGN_OR_RETURN(ShardPlan plan, PlanGeometry(file_shapes));
 
   const int files = static_cast<int>(file_shapes.size());
   std::vector<double> file_weight(static_cast<size_t>(files), 0.0);

@@ -71,6 +71,12 @@ struct PlanWeights {
   bool IsUniform() const;
 };
 
+/// The geometry half of a plan: `file_shapes` and their combined-space
+/// `offsets`, with no shards. kInvalidArgument for an empty file list or a
+/// file with no elements. Both PlanShards overloads start from it, and a
+/// fleet worker builds its session plan from it.
+StatusOr<ShardPlan> PlanGeometry(const std::vector<Shape>& file_shapes);
+
 /// Partitions `file_shapes` into (at most) `shards` shards:
 ///  * `shards == num_files`: one file per shard (the default partition);
 ///  * `shards < num_files`: contiguous file groups balanced by element

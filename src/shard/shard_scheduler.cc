@@ -10,7 +10,6 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "exec/thread_pool.h"
-#include "provenance/persist.h"
 #include "shard/shard_campaign.h"
 
 namespace kondo {
@@ -25,10 +24,10 @@ std::string JoinPath(const std::string& dir, const std::string& name) {
   return dir + "/" + name;
 }
 
-}  // namespace
-
-StatusOr<ShardCampaignResult> LoadVerifiedShard(const std::string& dir,
-                                                int s,
+/// Loads shard `s`'s sealed artefacts from `dir` and re-verifies them: the
+/// KSS checksum trailer plus the KEL2 store's whole-file fingerprint
+/// against the KSS `A` line.
+StatusOr<ShardCampaignResult> LoadVerifiedShard(const std::string& dir, int s,
                                                 const ShardPlan& plan) {
   ShardArtifactInfo expected;
   KONDO_ASSIGN_OR_RETURN(
@@ -39,8 +38,7 @@ StatusOr<ShardCampaignResult> LoadVerifiedShard(const std::string& dir,
     KONDO_ASSIGN_OR_RETURN(
         ShardArtifactInfo actual,
         HashFileArtifact(dir + "/" + ShardLineageFileName(s)));
-    if (actual.lineage_bytes != expected.lineage_bytes ||
-        actual.lineage_crc != expected.lineage_crc) {
+    if (actual != expected) {
       return DataLossError(
           StrCat("shard ", s,
                  " lineage store does not match the fingerprint recorded "
@@ -49,6 +47,8 @@ StatusOr<ShardCampaignResult> LoadVerifiedShard(const std::string& dir,
   }
   return loaded;
 }
+
+}  // namespace
 
 Status EnsureCampaignDirectory(const std::string& path) {
   std::string prefix;
@@ -63,213 +63,208 @@ Status EnsureCampaignDirectory(const std::string& path) {
   return OkStatus();
 }
 
+StatusOr<ShardedCampaign> OpenShardedCampaign(const MultiFileProgram& program,
+                                              uint64_t rng_seed, int shards,
+                                              const PlanWeights& weights,
+                                              const std::string& output_dir,
+                                              Env* env) {
+  ShardedCampaign campaign;
+  KONDO_ASSIGN_OR_RETURN(campaign.plan,
+                         PlanShards(program.FileShapes(), shards, weights));
+  const ShardPlan& plan = campaign.plan;
+  ShardManifest& manifest = campaign.manifest;
+  manifest = MakeShardManifest(plan, rng_seed);
+  campaign.output_dir = output_dir;
+  campaign.env = env;
+  campaign.results.resize(static_cast<size_t>(plan.num_shards()));
+
+  if (!output_dir.empty()) {
+    KONDO_RETURN_IF_ERROR(EnsureCampaignDirectory(output_dir));
+    campaign.manifest_path = JoinPath(output_dir, kShardManifestFileName);
+    if (FileExists(campaign.manifest_path)) {
+      KONDO_ASSIGN_OR_RETURN(manifest,
+                             LoadShardManifest(campaign.manifest_path));
+      KONDO_RETURN_IF_ERROR(CheckManifestMatchesPlan(manifest, plan, rng_seed));
+    } else {
+      KONDO_RETURN_IF_ERROR(
+          SaveShardManifest(campaign.manifest_path, manifest, env));
+    }
+  }
+
+  // Resume verification: a manifest may claim a shard is fuzzed while its
+  // artefacts are damaged (commits are atomic, but operators truncate disks
+  // and flip bits). A damaged shard is demoted to pending and re-run
+  // instead of poisoning the merge. A fresh manifest has no fuzzed shards.
+  bool demoted = false;
+  for (int s = 0; s < manifest.num_shards(); ++s) {
+    ShardStatus& status = manifest.statuses[static_cast<size_t>(s)];
+    if (status == ShardStatus::kFuzzed) {
+      StatusOr<ShardCampaignResult> verified =
+          LoadVerifiedShard(output_dir, s, plan);
+      if (verified.ok()) {
+        campaign.results[static_cast<size_t>(s)] = std::move(*verified);
+        continue;
+      }
+      KONDO_LOG(Warning) << "shard " << s
+                         << " failed resume verification, re-running: "
+                         << verified.status();
+      status = ShardStatus::kPending;
+      manifest.merged = false;
+      demoted = true;
+    }
+    campaign.pending.push_back(s);
+  }
+  if (demoted) {
+    KONDO_RETURN_IF_ERROR(
+        SaveShardManifest(campaign.manifest_path, manifest, env));
+  }
+  return campaign;
+}
+
+StatusOr<ShardedRunResult> FinishShardedCampaign(ShardedCampaign& campaign,
+                                                 const KondoConfig& config,
+                                                 int shards_fuzzed_now) {
+  const ShardPlan& plan = campaign.plan;
+  const bool persistent = !campaign.output_dir.empty();
+  ShardedRunResult out;
+  out.shards_total = plan.num_shards();
+  out.shards_fuzzed_now = shards_fuzzed_now;
+  if (!campaign.manifest.AllFuzzed()) {
+    return out;  // Paced invocation: more shards remain for a later run.
+  }
+
+  // Shards fuzzed by *earlier* invocations are merged from their state
+  // files; the rest are merged from memory.
+  std::vector<ShardCampaignResult> results;
+  results.reserve(static_cast<size_t>(plan.num_shards()));
+  std::vector<std::string> shard_paths;
+  for (int s = 0; s < plan.num_shards(); ++s) {
+    std::optional<ShardCampaignResult>& result =
+        campaign.results[static_cast<size_t>(s)];
+    if (!result.has_value()) {
+      KONDO_ASSIGN_OR_RETURN(
+          result, LoadShardState(JoinPath(campaign.output_dir,
+                                          ShardStateFileName(s)),
+                                 s, plan.file_shapes));
+    }
+    results.push_back(std::move(*result));
+    if (persistent) {
+      shard_paths.push_back(
+          JoinPath(campaign.output_dir, ShardLineageFileName(s)));
+    }
+  }
+
+  CampaignExecutor merge_executor(ClampJobs(config.jobs));
+  KONDO_ASSIGN_OR_RETURN(
+      out.merged, MergeShardCampaigns(plan, results, config, merge_executor));
+  if (persistent) {
+    out.merged_lineage_path =
+        JoinPath(campaign.output_dir, kMergedLineageFileName);
+    Kel2WriterOptions merge_options;
+    merge_options.env = campaign.env;
+    KONDO_RETURN_IF_ERROR(MergeShardLineageStores(
+        shard_paths, out.merged_lineage_path, merge_options));
+    campaign.manifest.merged = true;
+    KONDO_RETURN_IF_ERROR(SaveShardManifest(
+        campaign.manifest_path, campaign.manifest, campaign.env));
+  }
+  out.complete = true;
+  return out;
+}
+
+void RunOnSharedPool(
+    int jobs, size_t count,
+    const std::function<void(size_t slot, CampaignExecutor& executor)>& run) {
+  if (jobs <= 1 || count <= 1) {
+    CampaignExecutor executor(jobs);
+    for (size_t slot = 0; slot < count; ++slot) {
+      run(slot, executor);
+    }
+    return;
+  }
+  // More drivers than workers would only queue.
+  ThreadPool pool(jobs);
+  const size_t drivers = std::min(count, static_cast<size_t>(jobs));
+  std::atomic<size_t> next{0};
+  std::vector<std::thread> threads;
+  threads.reserve(drivers);
+  for (size_t d = 0; d < drivers; ++d) {
+    threads.emplace_back([&] {
+      CampaignExecutor executor(&pool, jobs);
+      for (size_t slot = next.fetch_add(1); slot < count;
+           slot = next.fetch_add(1)) {
+        run(slot, executor);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+}
+
 StatusOr<ShardedRunResult> RunShardedCampaign(const MultiFileProgram& program,
                                               const KondoConfig& config,
                                               const ShardOptions& options) {
-  std::vector<Shape> file_shapes;
-  file_shapes.reserve(static_cast<size_t>(program.num_files()));
-  for (int f = 0; f < program.num_files(); ++f) {
-    file_shapes.push_back(program.file_shape(f));
-  }
   KONDO_ASSIGN_OR_RETURN(
-      ShardPlan plan,
-      PlanShards(file_shapes, options.shards, options.plan_weights));
-
+      ShardedCampaign campaign,
+      OpenShardedCampaign(program, config.rng_seed, options.shards,
+                          options.plan_weights, options.output_dir,
+                          options.env));
+  const ShardPlan& plan = campaign.plan;
   const bool persistent = !options.output_dir.empty();
-  ShardManifest manifest = MakeShardManifest(plan, config.rng_seed);
-  std::string manifest_path;
-  if (persistent) {
-    KONDO_RETURN_IF_ERROR(EnsureCampaignDirectory(options.output_dir));
-    manifest_path = JoinPath(options.output_dir, kShardManifestFileName);
-    if (FileExists(manifest_path)) {
-      KONDO_ASSIGN_OR_RETURN(manifest, LoadShardManifest(manifest_path));
-      KONDO_RETURN_IF_ERROR(
-          CheckManifestMatchesPlan(manifest, plan, config.rng_seed));
-    } else {
-      KONDO_RETURN_IF_ERROR(SaveShardManifest(manifest_path, manifest));
-    }
-  }
 
-  std::vector<ShardCampaignResult> results(
-      static_cast<size_t>(plan.num_shards()));
-  std::vector<char> have(static_cast<size_t>(plan.num_shards()), 0);
-
-  // Resume verification: a manifest may claim a shard is fuzzed while the
-  // artefacts on disk are damaged (a crash after the state commit cannot
-  // tear them — commits are atomic — but operators truncate disks and flip
-  // bits). Re-verify every fuzzed shard's KSS checksum and its KEL2
-  // fingerprint before trusting it; damaged shards are demoted to pending
-  // and re-run instead of poisoning the merge.
-  if (persistent) {
-    bool demoted = false;
-    for (int s = 0; s < manifest.num_shards(); ++s) {
-      if (manifest.statuses[static_cast<size_t>(s)] != ShardStatus::kFuzzed) {
-        continue;
-      }
-      StatusOr<ShardCampaignResult> loaded =
-          LoadVerifiedShard(options.output_dir, s, plan);
-      if (!loaded.ok()) {
-        KONDO_LOG(Warning) << "shard " << s
-                           << " failed resume verification, re-running: "
-                           << loaded.status();
-        manifest.statuses[static_cast<size_t>(s)] = ShardStatus::kPending;
-        manifest.merged = false;
-        demoted = true;
-        continue;
-      }
-      results[static_cast<size_t>(s)] = std::move(*loaded);
-      have[static_cast<size_t>(s)] = 1;
-    }
-    if (demoted) {
-      KONDO_RETURN_IF_ERROR(
-          SaveShardManifest(manifest_path, manifest, options.env));
-    }
-  }
-
-  std::vector<int> pending;
-  for (int s = 0; s < manifest.num_shards(); ++s) {
-    if (manifest.statuses[static_cast<size_t>(s)] == ShardStatus::kPending) {
-      pending.push_back(s);
-    }
-  }
   // Pacing only makes sense with a campaign directory to resume from; an
   // in-memory campaign always runs every shard.
-  std::vector<int> to_run = pending;
+  std::vector<int> to_run = campaign.pending;
   if (persistent && options.max_shards_this_run > 0 &&
       static_cast<size_t>(options.max_shards_this_run) < to_run.size()) {
     to_run.resize(static_cast<size_t>(options.max_shards_this_run));
   }
 
-  const int jobs = ClampJobs(config.jobs);
   std::vector<Status> run_statuses(to_run.size(), OkStatus());
 
   const auto run_one = [&](size_t slot, CampaignExecutor& executor) {
     const int s = to_run[slot];
     const Shard& shard = plan.shards[static_cast<size_t>(s)];
-    if (persistent) {
-      const std::string lineage_path =
-          JoinPath(options.output_dir, ShardLineageFileName(s));
-      Kel2WriterOptions sink_options;
-      sink_options.env = options.env;
-      StatusOr<CampaignLineageSink> sink =
-          CampaignLineageSink::Create(lineage_path, sink_options);
-      if (!sink.ok()) {
-        run_statuses[slot] = sink.status();
-        return;
-      }
-      StatusOr<ShardCampaignResult> run = RunShardCampaign(
-          program, plan, shard, config, executor, sink->persister());
-      Status status = run.ok() ? sink->Close() : run.status();
-      if (status.ok()) {
-        // Fingerprint the sealed store and commit the shard's state last:
-        // the KSS (with its embedded fingerprint) only exists once every
-        // artefact it vouches for is durable.
-        StatusOr<ShardArtifactInfo> info = HashFileArtifact(lineage_path);
-        status = info.ok()
-                     ? SaveShardState(JoinPath(options.output_dir,
-                                               ShardStateFileName(s)),
-                                      s, *run, *info, options.env)
-                     : info.status();
-      }
-      if (!status.ok()) {
-        run_statuses[slot] = status;
-        return;
-      }
-      results[static_cast<size_t>(s)] = std::move(*run);
-    } else {
-      StatusOr<ShardCampaignResult> run =
-          RunShardCampaign(program, plan, shard, config, executor);
-      if (!run.ok()) {
-        run_statuses[slot] = run.status();
-        return;
-      }
-      results[static_cast<size_t>(s)] = std::move(*run);
+    const std::string lineage_path =
+        JoinPath(options.output_dir, ShardLineageFileName(s));
+    StatusOr<ShardCampaignResult> run =
+        persistent ? RunSealedShardCampaign(program, plan, shard, config,
+                                            executor, lineage_path,
+                                            options.env)
+                   : RunShardCampaign(program, plan, shard, config, executor);
+    Status status = run.status();
+    if (status.ok() && persistent) {
+      // Fingerprint the sealed store and commit the shard's state last:
+      // the KSS (with its embedded fingerprint) only exists once every
+      // artefact it vouches for is durable.
+      StatusOr<ShardArtifactInfo> info = HashFileArtifact(lineage_path);
+      status = info.ok() ? SaveShardState(JoinPath(options.output_dir,
+                                                   ShardStateFileName(s)),
+                                          s, *run, *info, options.env)
+                         : info.status();
     }
-    have[static_cast<size_t>(s)] = 1;
+    if (!status.ok()) {
+      run_statuses[slot] = status;
+      return;
+    }
+    campaign.results[static_cast<size_t>(s)] = std::move(*run);
   };
 
-  if (jobs <= 1 || to_run.size() <= 1) {
-    CampaignExecutor executor(jobs);
-    for (size_t slot = 0; slot < to_run.size(); ++slot) {
-      run_one(slot, executor);
-    }
-  } else {
-    // One shared pool; one driver thread per running shard (capped at the
-    // pool width — more drivers than workers would only queue). Drivers
-    // are plain threads, NOT pool tasks: they block on their batches
-    // outside the pool, so every worker stays available for debloat tests
-    // from any shard.
-    ThreadPool pool(jobs);
-    const size_t drivers =
-        std::min(to_run.size(), static_cast<size_t>(jobs));
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> threads;
-    threads.reserve(drivers);
-    for (size_t d = 0; d < drivers; ++d) {
-      threads.emplace_back([&] {
-        CampaignExecutor executor(&pool, jobs);
-        for (size_t slot = next.fetch_add(1); slot < to_run.size();
-             slot = next.fetch_add(1)) {
-          run_one(slot, executor);
-        }
-      });
-    }
-    for (std::thread& thread : threads) {
-      thread.join();
-    }
-  }
+  RunOnSharedPool(ClampJobs(config.jobs), to_run.size(), run_one);
   for (const Status& status : run_statuses) {
     KONDO_RETURN_IF_ERROR(status);
   }
 
   for (int s : to_run) {
-    manifest.statuses[static_cast<size_t>(s)] = ShardStatus::kFuzzed;
+    campaign.manifest.statuses[static_cast<size_t>(s)] = ShardStatus::kFuzzed;
   }
   if (persistent && !to_run.empty()) {
-    KONDO_RETURN_IF_ERROR(
-        SaveShardManifest(manifest_path, manifest, options.env));
+    KONDO_RETURN_IF_ERROR(SaveShardManifest(campaign.manifest_path,
+                                            campaign.manifest, options.env));
   }
-
-  ShardedRunResult out;
-  out.shards_total = plan.num_shards();
-  out.shards_fuzzed_now = static_cast<int>(to_run.size());
-  if (!manifest.AllFuzzed()) {
-    return out;  // Paced invocation: more shards remain for a later run.
-  }
-
-  // Shards fuzzed by *earlier* invocations are merged from their state
-  // files; shards fuzzed just now are merged from memory.
-  for (int s = 0; s < plan.num_shards(); ++s) {
-    if (!have[static_cast<size_t>(s)]) {
-      KONDO_ASSIGN_OR_RETURN(
-          results[static_cast<size_t>(s)],
-          LoadShardState(JoinPath(options.output_dir, ShardStateFileName(s)),
-                         s, plan.file_shapes));
-    }
-  }
-
-  CampaignExecutor merge_executor(jobs);
-  KONDO_ASSIGN_OR_RETURN(
-      out.merged, MergeShardCampaigns(plan, results, config, merge_executor));
-  if (persistent) {
-    std::vector<std::string> shard_paths;
-    shard_paths.reserve(static_cast<size_t>(plan.num_shards()));
-    for (int s = 0; s < plan.num_shards(); ++s) {
-      shard_paths.push_back(
-          JoinPath(options.output_dir, ShardLineageFileName(s)));
-    }
-    out.merged_lineage_path =
-        JoinPath(options.output_dir, kMergedLineageFileName);
-    Kel2WriterOptions merge_options;
-    merge_options.env = options.env;
-    KONDO_RETURN_IF_ERROR(MergeShardLineageStores(
-        shard_paths, out.merged_lineage_path, merge_options));
-    manifest.merged = true;
-    KONDO_RETURN_IF_ERROR(
-        SaveShardManifest(manifest_path, manifest, options.env));
-  }
-  out.complete = true;
-  return out;
+  return FinishShardedCampaign(campaign, config,
+                               static_cast<int>(to_run.size()));
 }
 
 }  // namespace kondo

@@ -1,6 +1,10 @@
 #ifndef KONDO_SHARD_SHARD_SCHEDULER_H_
 #define KONDO_SHARD_SHARD_SCHEDULER_H_
 
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,37 +62,73 @@ struct ShardedRunResult {
 
 /// Plans shards, runs one full fuzz campaign per shard, and merges.
 ///
-/// Scheduling: all shard campaigns share ONE ThreadPool of
-/// `ClampJobs(config.jobs)` workers. Each running shard is driven by a
-/// dedicated driver thread holding a non-owning CampaignExecutor over the
-/// shared pool — drivers block on their batches outside the pool, so
-/// debloat tests from every shard interleave freely on the workers and the
-/// machine is never oversubscribed beyond `jobs` (plus the coordinating
-/// drivers, which are idle while tests run). With `jobs == 1` the shards
-/// simply run back-to-back on the calling thread.
+/// Scheduling: the pending shards run through RunOnSharedPool over
+/// `ClampJobs(config.jobs)` workers, so debloat tests from every shard
+/// interleave on one pool and the machine is never oversubscribed beyond
+/// `jobs` (plus the driver threads, which are idle while tests run).
 ///
 /// Every shard replays the identical schedule (see RunShardCampaign), so
 /// the merged result — index sets, carve stats, fuzz statistics, and the
 /// merged lineage store — is bit-identical to `shards = 1` at every jobs
-/// setting.
+/// setting. Planning, resume and merge are OpenShardedCampaign and
+/// FinishShardedCampaign; a persistent shard runs through
+/// RunSealedShardCampaign and commits its KSS last.
 StatusOr<ShardedRunResult> RunShardedCampaign(const MultiFileProgram& program,
                                               const KondoConfig& config,
                                               const ShardOptions& options);
+
+/// The skeleton both schedulers share (RunShardedCampaign here,
+/// RunFleetCampaign in src/fleet/); they differ only in how `pending`
+/// shards get run. A scheduler stores each run shard's result in
+/// `results[s]`, marks it fuzzed in `manifest`, then calls
+/// FinishShardedCampaign.
+struct ShardedCampaign {
+  ShardPlan plan;
+  ShardManifest manifest;
+  std::string output_dir;     // "" = in-memory campaign.
+  std::string manifest_path;  // "" in memory.
+  Env* env = nullptr;
+  /// Empty for a shard fuzzed by an earlier invocation and not re-verified
+  /// (FinishShardedCampaign loads it) or not fuzzed yet.
+  std::vector<std::optional<ShardCampaignResult>> results;
+  std::vector<int> pending;  // Ascending.
+};
+
+/// Plans the campaign from `program`'s file shapes, `shards` and `weights`.
+/// With a campaign directory it also creates the directory, loads and
+/// checks the manifest (or commits a fresh one through `env`), and
+/// re-verifies every fuzzed shard's KSS checksum and KEL2 fingerprint,
+/// demoting a damaged one to pending and committing the demotion. With an
+/// empty `output_dir` it touches no disk.
+StatusOr<ShardedCampaign> OpenShardedCampaign(const MultiFileProgram& program,
+                                              uint64_t rng_seed, int shards,
+                                              const PlanWeights& weights,
+                                              const std::string& output_dir,
+                                              Env* env);
+
+/// Merges an opened campaign once its manifest shows every shard fuzzed
+/// (before that it returns an incomplete result): loads the shards fuzzed
+/// by earlier invocations from their state files, folds everything
+/// through MergeShardCampaigns and, with a campaign directory, writes
+/// `merged.kel2` via MergeShardLineageStores and commits `manifest.merged`.
+StatusOr<ShardedRunResult> FinishShardedCampaign(ShardedCampaign& campaign,
+                                                 const KondoConfig& config,
+                                                 int shards_fuzzed_now);
+
+/// The local pool-sharing rule: runs `run(slot, executor)` for every slot
+/// in [0, count), back to back on the calling thread when `jobs <= 1` or
+/// `count <= 1`, otherwise on up to `jobs` plain driver threads, each
+/// holding a non-owning CampaignExecutor over one shared ThreadPool of
+/// `jobs` workers. Drivers block on their batches outside the pool, so a
+/// pool task never nests a ParallelFor.
+void RunOnSharedPool(
+    int jobs, size_t count,
+    const std::function<void(size_t slot, CampaignExecutor& executor)>& run);
 
 /// mkdir -p: creates `path` and any missing parents. The scheduler calls
 /// this for its campaign directory; exposed for callers (the CLI) that
 /// write sibling artefacts into the same tree.
 Status EnsureCampaignDirectory(const std::string& path);
-
-/// Loads shard `s`'s sealed artefacts from campaign directory `dir` and
-/// re-verifies them: the KSS checksum trailer plus the KEL2 store's
-/// whole-file byte/CRC fingerprint against the KSS `A` line. A non-OK
-/// status describes the damage; the caller demotes the shard to pending
-/// and re-runs it. The local resume path and the fleet coordinator share
-/// this rule — a crashed *worker* is handled exactly like a damaged
-/// on-disk shard.
-StatusOr<ShardCampaignResult> LoadVerifiedShard(const std::string& dir,
-                                                int s, const ShardPlan& plan);
 
 }  // namespace kondo
 

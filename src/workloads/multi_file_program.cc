@@ -8,6 +8,15 @@
 
 namespace kondo {
 
+std::vector<Shape> MultiFileProgram::FileShapes() const {
+  std::vector<Shape> shapes;
+  shapes.reserve(static_cast<size_t>(num_files()));
+  for (int f = 0; f < num_files(); ++f) {
+    shapes.push_back(file_shape(f));
+  }
+  return shapes;
+}
+
 MultiIndexSets MultiFileProgram::AccessSets(const ParamValue& v) const {
   MultiIndexSets sets;
   sets.reserve(static_cast<size_t>(num_files()));

@@ -41,6 +41,9 @@ class MultiFileProgram {
   virtual std::string_view file_name(int file) const = 0;
   virtual const Shape& file_shape(int file) const = 0;
 
+  /// Every file's shape in ordinal order: the campaign's file geometry.
+  std::vector<Shape> FileShapes() const;
+
   /// Runs the program for `v`, reporting every access as (file, index).
   virtual void Execute(const ParamValue& v,
                        const MultiReadFn& read) const = 0;

@@ -74,6 +74,15 @@ TEST(ShapeTest, Contains) {
   EXPECT_FALSE(shape.Contains(Index{4, 0}));
   EXPECT_FALSE(shape.Contains(Index{0, -1}));
   EXPECT_FALSE(shape.Contains(Index{0, 0, 0}));  // Rank mismatch.
+
+  // The fused check-and-linearise is -1 exactly where Contains fails.
+  EXPECT_EQ(shape.LinearOrNegative(Index{0, 0}), 0);
+  EXPECT_EQ(shape.LinearOrNegative(Index{3, 4}), 19);
+  EXPECT_EQ(shape.LinearOrNegative(Index{4, 0}), -1);
+  EXPECT_EQ(shape.LinearOrNegative(Index{0, -1}), -1);
+  EXPECT_EQ(shape.LinearOrNegative(Index{0, 5}), -1);
+  EXPECT_EQ(shape.LinearOrNegative(Index{0, 0, 0}), -1);
+  EXPECT_EQ(shape.LinearOrNegative(Index({2})), -1);
 }
 
 TEST(ShapeTest, LinearizeIsRowMajor) {

@@ -345,14 +345,12 @@ StatusOr<ShardResultMsg> MakeShardResult(const MultiFileProgram& program,
                                          const std::string& scratch) {
   const std::string lineage_path =
       scratch + "/made-" + std::to_string(s) + ".kel2";
-  KONDO_ASSIGN_OR_RETURN(CampaignLineageSink sink,
-                         CampaignLineageSink::Create(lineage_path, {}));
   CampaignExecutor executor(1);
   KONDO_ASSIGN_OR_RETURN(
       ShardCampaignResult run,
-      RunShardCampaign(program, plan, plan.shards[static_cast<size_t>(s)],
-                       config, executor, sink.persister()));
-  KONDO_RETURN_IF_ERROR(sink.Close());
+      RunSealedShardCampaign(program, plan,
+                             plan.shards[static_cast<size_t>(s)], config,
+                             executor, lineage_path, nullptr));
   std::string kel2;
   KONDO_RETURN_IF_ERROR(ReadFileToString(lineage_path, &kel2));
   ShardArtifactInfo info;
@@ -367,11 +365,7 @@ StatusOr<ShardResultMsg> MakeShardResult(const MultiFileProgram& program,
 
 TEST(CommitShardResultTest, DuplicateAgreementIsIdempotent) {
   const std::unique_ptr<MultiFileProgram> program = TestProgram();
-  std::vector<Shape> shapes;
-  for (int f = 0; f < program->num_files(); ++f) {
-    shapes.push_back(program->file_shape(f));
-  }
-  const StatusOr<ShardPlan> plan = PlanShards(shapes, 2);
+  const StatusOr<ShardPlan> plan = PlanShards(program->FileShapes(), 2);
   ASSERT_TRUE(plan.ok()) << plan.status();
 
   const std::string dir = TempDir("dup");
@@ -394,11 +388,7 @@ TEST(CommitShardResultTest, DuplicateAgreementIsIdempotent) {
 
 TEST(CommitShardResultTest, DuplicateDisagreementIsInternalError) {
   const std::unique_ptr<MultiFileProgram> program = TestProgram();
-  std::vector<Shape> shapes;
-  for (int f = 0; f < program->num_files(); ++f) {
-    shapes.push_back(program->file_shape(f));
-  }
-  const StatusOr<ShardPlan> plan = PlanShards(shapes, 2);
+  const StatusOr<ShardPlan> plan = PlanShards(program->FileShapes(), 2);
   ASSERT_TRUE(plan.ok()) << plan.status();
 
   const std::string dir = TempDir("dup2");
@@ -422,11 +412,7 @@ TEST(CommitShardResultTest, DuplicateDisagreementIsInternalError) {
 
 TEST(CommitShardResultTest, TamperedLineageBytesAreRejectedBeforeCommit) {
   const std::unique_ptr<MultiFileProgram> program = TestProgram();
-  std::vector<Shape> shapes;
-  for (int f = 0; f < program->num_files(); ++f) {
-    shapes.push_back(program->file_shape(f));
-  }
-  const StatusOr<ShardPlan> plan = PlanShards(shapes, 2);
+  const StatusOr<ShardPlan> plan = PlanShards(program->FileShapes(), 2);
   ASSERT_TRUE(plan.ok()) << plan.status();
 
   const std::string dir = TempDir("tamper");
@@ -451,11 +437,7 @@ TEST(CommitShardResultTest, TamperedLineageBytesAreRejectedBeforeCommit) {
 TEST(FleetCampaignTest, ExhaustedDispatchBudgetFailsTheCampaign) {
   const std::unique_ptr<MultiFileProgram> program = TestProgram();
   const KondoConfig config = ShortCampaignConfig(19);
-  std::vector<Shape> shapes;
-  for (int f = 0; f < program->num_files(); ++f) {
-    shapes.push_back(program->file_shape(f));
-  }
-  const StatusOr<ShardPlan> plan = PlanShards(shapes, 2);
+  const StatusOr<ShardPlan> plan = PlanShards(program->FileShapes(), 2);
   ASSERT_TRUE(plan.ok()) << plan.status();
 
   const std::string dir = TempDir("budget");
@@ -490,6 +472,53 @@ TEST(FleetCampaignTest, ExhaustedDispatchBudgetFailsTheCampaign) {
 }
 
 // ---------------------------------------------------- resume interplay --
+
+TEST(FleetCampaignTest, ResumeReDispatchesOnlyTheDamagedShard) {
+  const std::unique_ptr<MultiFileProgram> program = TestProgram();
+  const KondoConfig config = ShortCampaignConfig(19);
+
+  const std::string dir = TempDir("damage");
+  ASSERT_TRUE(EnsureCampaignDirectory(dir).ok());
+  std::vector<std::unique_ptr<FleetWorker>> workers = StartWorkers(dir, 2);
+  FleetOptions options;
+  options.shards = 3;
+  options.output_dir = dir + "/campaign";
+  options.workers = Endpoints(workers);
+  options.program_extent = kExtent;
+  const StatusOr<ShardedRunResult> first =
+      RunFleetCampaign(*program, config, options);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(first->complete);
+  const std::string reference = ReadFileBytes(first->merged_lineage_path);
+
+  // Bit rot in one sealed store: resume verification demotes that shard
+  // alone, and the rerun dispatches it once more.
+  const std::string damaged = options.output_dir + "/" +
+                              ShardLineageFileName(1);
+  std::string bytes = ReadFileBytes(damaged);
+  ASSERT_FALSE(bytes.empty());
+  bytes[bytes.size() / 2] ^= 0x01;
+  {
+    std::ofstream out(damaged, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  const StatusOr<ShardedRunResult> resumed =
+      RunFleetCampaign(*program, config, options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  ASSERT_TRUE(resumed->complete);
+  EXPECT_EQ(resumed->shards_fuzzed_now, 1);
+  const StatusOr<ShardManifest> manifest = LoadShardManifest(
+      options.output_dir + "/" + kShardManifestFileName);
+  ASSERT_TRUE(manifest.ok()) << manifest.status();
+  EXPECT_EQ(manifest->dispatch_counts, (std::vector<int>{1, 2, 1}));
+  EXPECT_TRUE(manifest->merged);
+  EXPECT_EQ(ReadFileBytes(resumed->merged_lineage_path), reference);
+
+  for (const std::unique_ptr<FleetWorker>& worker : workers) {
+    worker->Stop();
+  }
+}
 
 TEST(FleetCampaignTest, FleetResumesALocalCampaignAndViceVersa) {
   const std::unique_ptr<MultiFileProgram> program = TestProgram();

@@ -408,6 +408,39 @@ TEST(ShardResumeRobustnessTest, EveryDamagedArtifactKindForcesAReRun) {
   EXPECT_EQ(ReadFileBytes(resumed->merged_lineage_path), reference_bytes);
 }
 
+// A fresh campaign's first commit is its manifest. It goes through the
+// caller's env like every later commit, so a crash injected at the very
+// first mutating op fails the run before any manifest exists.
+TEST(ShardResumeRobustnessTest, FirstManifestCommitGoesThroughTheEnv) {
+  const StormTrackProgram program(16, 4);
+  KondoConfig config;
+  config.rng_seed = 17;
+  config.jobs = 1;
+  config.fuzz.max_evals = 60;
+
+  FaultPlan plan;
+  plan.seed = FaultSeed();
+  plan.crash_at_op = 0;
+  FaultInjectingEnv env(Env::Default(), plan);
+  ShardOptions options;
+  options.shards = 2;
+  options.output_dir = TempDir("first_commit");
+  options.env = &env;
+  const StatusOr<ShardedRunResult> crashed =
+      RunShardedCampaign(program, config, options);
+  EXPECT_FALSE(crashed.ok());
+  EXPECT_TRUE(env.crashed());
+  EXPECT_FALSE(std::filesystem::exists(options.output_dir + "/" +
+                                       kShardManifestFileName));
+
+  options.env = nullptr;
+  const StatusOr<ShardedRunResult> resumed =
+      RunShardedCampaign(program, config, options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_TRUE(resumed->complete);
+  EXPECT_EQ(resumed->shards_fuzzed_now, 2);
+}
+
 // ------------------------------------------------------ crash-point sweep --
 
 // The acceptance sweep: a campaign killed at ANY mutating filesystem

@@ -388,22 +388,6 @@ bool FleetFrom(std::vector<std::string>* args, FleetCliOptions* fleet) {
   return true;
 }
 
-/// Resolves `--plan-weights KEL2` into planner weights over `program`'s
-/// file geometry (empty path = empty weights = element-count balancing).
-StatusOr<PlanWeights> PlanWeightsFromCli(const std::string& path,
-                                         const MultiFileProgram& program) {
-  PlanWeights weights;
-  if (path.empty()) {
-    return weights;
-  }
-  std::vector<Shape> shapes;
-  shapes.reserve(static_cast<size_t>(program.num_files()));
-  for (int f = 0; f < program.num_files(); ++f) {
-    shapes.push_back(program.file_shape(f));
-  }
-  return WeightsFromLineageStore(path, shapes);
-}
-
 /// A `kondo worker` child process this coordinator forked for
 /// `debloat --workers N`.
 struct SpawnedWorker {
@@ -487,9 +471,12 @@ StatusOr<ShardedRunResult> RunShardedFromCli(const MultiFileProgram& program,
                                              const std::string& shard_dir,
                                              int shards,
                                              const FleetCliOptions& fleet) {
-  KONDO_ASSIGN_OR_RETURN(
-      PlanWeights weights,
-      PlanWeightsFromCli(fleet.plan_weights_path, program));
+  PlanWeights weights;  // Empty = element-count balancing.
+  if (!fleet.plan_weights_path.empty()) {
+    KONDO_ASSIGN_OR_RETURN(weights,
+                           WeightsFromLineageStore(fleet.plan_weights_path,
+                                                   program.FileShapes()));
+  }
   if (!fleet.active()) {
     ShardOptions options;
     options.shards = shards;
