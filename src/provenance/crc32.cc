@@ -7,27 +7,54 @@ namespace {
 
 constexpr uint32_t kPolynomial = 0xEDB88320u;
 
-constexpr std::array<uint32_t, 256> BuildTable() {
-  std::array<uint32_t, 256> table{};
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+/// Slice-by-8 tables: tables[0] is the classic bytewise table, and
+/// tables[k][b] is the CRC of byte b followed by k zero bytes, so eight
+/// lookups fold eight input bytes at once.
+constexpr Crc32Tables BuildTables() {
+  Crc32Tables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1) ? kPolynomial : 0);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < 8; ++k) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<uint32_t, 256> kTable = BuildTable();
+constexpr Crc32Tables kTables = BuildTables();
+
+/// Little-endian load of four bytes, whatever the host order.
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t size) {
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
   crc = ~crc;
+  while (size >= 8) {
+    const uint32_t lo = LoadLe32(bytes) ^ crc;
+    const uint32_t hi = LoadLe32(bytes + 4);
+    crc = kTables[7][lo & 0xFF] ^ kTables[6][(lo >> 8) & 0xFF] ^
+          kTables[5][(lo >> 16) & 0xFF] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFF] ^ kTables[2][(hi >> 8) & 0xFF] ^
+          kTables[1][(hi >> 16) & 0xFF] ^ kTables[0][hi >> 24];
+    bytes += 8;
+    size -= 8;
+  }
   for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ kTable[(crc ^ bytes[i]) & 0xFF];
+    crc = (crc >> 8) ^ kTables[0][(crc ^ bytes[i]) & 0xFF];
   }
   return ~crc;
 }

@@ -6,7 +6,8 @@
 
 namespace kondo {
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial 0xEDB88320), table-driven.
+/// CRC-32 (IEEE 802.3, the zlib polynomial 0xEDB88320), slice-by-8:
+/// eight table lookups per eight input bytes, then a bytewise tail.
 /// Every KEL2 block payload carries its CRC so a flipped bit is detected
 /// instead of silently mis-decoding lineage. Self-contained: the container
 /// image may not ship zlib.

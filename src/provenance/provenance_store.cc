@@ -1,62 +1,271 @@
 #include "provenance/provenance_store.h"
 
-#include <utility>
+#include <algorithm>
+#include <limits>
+#include <map>
+
+#include "common/strings.h"
+#include "provenance/kel2_reader.h"
 
 namespace kondo {
-
-ProvenanceStore::ProvenanceStore(Kel2Reader reader)
-    : path_(reader.path()),
-      num_blocks_(reader.NumBlocks()),
-      num_events_(reader.NumEvents()),
-      reader_(std::move(reader)),
-      query_(&reader_) {}
-
-StatusOr<std::unique_ptr<ProvenanceStore>> ProvenanceStore::Open(
-    const std::string& path) {
-  KONDO_ASSIGN_OR_RETURN(Kel2Reader reader, Kel2Reader::Open(path));
-  return std::unique_ptr<ProvenanceStore>(
-      new ProvenanceStore(std::move(reader)));
-}
-
 namespace {
 
-ProvenanceQueryStats StatsDelta(const ProvenanceQueryStats& before,
-                                const ProvenanceQueryStats& after) {
-  ProvenanceQueryStats delta;
-  delta.queries = after.queries - before.queries;
-  delta.blocks_considered = after.blocks_considered - before.blocks_considered;
-  delta.blocks_skipped = after.blocks_skipped - before.blocks_skipped;
-  delta.blocks_decoded = after.blocks_decoded - before.blocks_decoded;
-  delta.block_cache_hits = after.block_cache_hits - before.block_cache_hits;
-  delta.events_scanned = after.events_scanned - before.events_scanned;
-  return delta;
+/// Entries per leaf, and children per node above the leaves.
+constexpr size_t kFanoutBits = 6;
+constexpr size_t kFanout = size_t{1} << kFanoutBits;
+
+template <typename T>
+int64_t HeapBytes(const std::vector<T>& v) {
+  return static_cast<int64_t>(v.capacity() * sizeof(T));
+}
+
+/// Bits of `offset - base` one radix pass sorts on.
+constexpr int kDigitBits = 11;
+
+/// Sorts [first, last) by offset in place: an MSD radix sort, one in-place
+/// American-flag pass per kDigitBits-bit digit of `offset - base` from
+/// `shift` down, with std::sort finishing ranges too small to repay a
+/// pass. It needs no copy of the entries, and on the dense offsets of an
+/// audited store it is about twice as fast as a comparison sort. Equal
+/// offsets stay in no particular order: lookups order matches by seq.
+template <typename Entry>
+void SortByOffset(Entry* first, Entry* last, int64_t base, int shift) {
+  constexpr ptrdiff_t kSmallRange = 1024;
+  if (shift < 0) {
+    return;  // Every offset in the range is equal.
+  }
+  if (last - first <= kSmallRange) {
+    std::sort(first, last, [](const Entry& a, const Entry& b) {
+      return a.offset < b.offset;
+    });
+    return;
+  }
+  constexpr size_t kDigits = size_t{1} << kDigitBits;
+  auto digit = [base, shift](const Entry& e) {
+    const uint64_t key =
+        static_cast<uint64_t>(e.offset) - static_cast<uint64_t>(base);
+    return static_cast<size_t>((key >> shift) & (kDigits - 1));
+  };
+  std::vector<size_t> end(kDigits, 0);
+  for (const Entry* e = first; e != last; ++e) {
+    ++end[digit(*e)];
+  }
+  std::vector<size_t> next(kDigits);
+  size_t sum = 0;
+  for (size_t d = 0; d < kDigits; ++d) {
+    next[d] = sum;
+    sum += end[d];
+    end[d] = sum;
+  }
+  for (size_t d = 0; d < kDigits; ++d) {
+    while (next[d] < end[d]) {
+      const size_t home = digit(first[next[d]]);
+      if (home == d) {
+        ++next[d];
+      } else {
+        std::swap(first[next[d]], first[next[home]++]);
+      }
+    }
+  }
+  size_t begin = 0;
+  for (size_t d = 0; d < kDigits; ++d) {
+    SortByOffset(first + begin, first + end[d], base, shift - kDigitBits);
+    begin = end[d];
+  }
 }
 
 }  // namespace
 
+StatusOr<std::unique_ptr<ProvenanceStore>> ProvenanceStore::Open(
+    const std::string& path) {
+  KONDO_ASSIGN_OR_RETURN(Kel2Reader reader, Kel2Reader::Open(path));
+  std::unique_ptr<ProvenanceStore> store(new ProvenanceStore());
+  store->path_ = reader.path();
+  store->num_events_ = reader.NumEvents();
+  store->blocks_ = reader.blocks();
+  const std::vector<Kel2BlockInfo>& blocks = store->blocks_;
+  if (blocks.size() > std::numeric_limits<uint32_t>::max()) {
+    return ResourceExhaustedError(
+        StrCat("KEL2 store has too many blocks to index: ", path));
+  }
+
+  std::map<int64_t, FileIndex> files;
+  FileIndex* last = nullptr;  // The file of the previous event.
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    const Kel2BlockInfo& info = blocks[b];
+    StatusOr<std::vector<Event>> events = reader.DecodeBlock(b);
+    if (!events.ok()) {
+      store->bad_blocks_.push_back(BadBlock{info, events.status()});
+      continue;
+    }
+    for (const Event& event : *events) {
+      if (!event.IsDataAccess()) {
+        continue;
+      }
+      if (last == nullptr || last->file_id != event.id.file_id) {
+        auto [it, inserted] = files.try_emplace(event.id.file_id);
+        last = &it->second;
+        if (inserted) {
+          // Every later block that may hold this file bounds its entry
+          // count, so the entries never reallocate while they fill.
+          last->file_id = event.id.file_id;
+          size_t bound = 0;
+          for (size_t later = b; later < blocks.size(); ++later) {
+            if (blocks[later].MayContainFile(event.id.file_id)) {
+              bound += blocks[later].event_count;
+            }
+          }
+          last->entries.reserve(bound);
+        }
+      }
+      if (last->entries.size() > std::numeric_limits<uint32_t>::max()) {
+        return ResourceExhaustedError(
+            StrCat("KEL2 store has too many events to index: ", path));
+      }
+      const uint32_t seq = static_cast<uint32_t>(last->entries.size());
+      const bool covered = event.size > 0 &&
+                           info.MayContainFile(event.id.file_id) &&
+                           info.min_offset <= event.offset &&
+                           event.offset + event.size <= info.max_end;
+      last->entries.push_back(Entry{event.offset, event.size, event.id.pid,
+                                    seq, event.type, !covered});
+      if (!covered) {
+        last->block_of.emplace_back(seq, static_cast<uint32_t>(b));
+      }
+    }
+  }
+
+  int64_t bytes = 0;
+  for (auto& [file_id, index] : files) {
+    std::vector<Entry>& entries = index.entries;  // Never empty.
+    if (entries.capacity() - entries.size() > entries.size() / 8) {
+      entries.shrink_to_fit();  // The reserve bound counted other files.
+    }
+    const auto [lo, hi] = std::minmax_element(
+        entries.begin(), entries.end(),
+        [](const Entry& a, const Entry& b) { return a.offset < b.offset; });
+    const uint64_t span =
+        static_cast<uint64_t>(hi->offset) - static_cast<uint64_t>(lo->offset);
+    int top = 0;  // The lowest digit position whose digit covers `span`.
+    while (top + kDigitBits < 64 && (span >> (top + kDigitBits)) != 0) {
+      top += kDigitBits;
+    }
+    SortByOffset(entries.data(), entries.data() + entries.size(), lo->offset,
+                 top);
+    std::vector<int64_t> leaves((entries.size() + kFanout - 1) / kFanout,
+                                std::numeric_limits<int64_t>::min());
+    for (size_t i = 0; i < entries.size(); ++i) {
+      int64_t& leaf = leaves[i / kFanout];
+      leaf = std::max(leaf, entries[i].offset + entries[i].size);
+    }
+    index.max_end.push_back(std::move(leaves));
+    while (index.max_end.back().size() > kFanout) {
+      const std::vector<int64_t>& below = index.max_end.back();
+      std::vector<int64_t> level((below.size() + kFanout - 1) / kFanout,
+                                 std::numeric_limits<int64_t>::min());
+      for (size_t i = 0; i < below.size(); ++i) {
+        level[i / kFanout] = std::max(level[i / kFanout], below[i]);
+      }
+      index.max_end.push_back(std::move(level));
+    }
+    bytes += HeapBytes(entries) + HeapBytes(index.block_of);
+    for (const std::vector<int64_t>& level : index.max_end) {
+      bytes += HeapBytes(level);
+    }
+    store->files_.push_back(std::move(index));
+  }
+  store->index_bytes_ = bytes;
+  return store;
+}
+
+void ProvenanceStore::Collect(const FileIndex& index, size_t level,
+                              size_t node, size_t hi, int64_t begin,
+                              int64_t end, std::vector<uint64_t>* matches,
+                              int64_t* tested) const {
+  // The node's first entry is at or past `hi`, or nothing under it ends
+  // past `begin`.
+  if ((node << (kFanoutBits * (level + 1))) >= hi ||
+      index.max_end[level][node] <= begin) {
+    return;
+  }
+  const size_t first = node << kFanoutBits;
+  if (level > 0) {
+    const size_t stop =
+        std::min(first + kFanout, index.max_end[level - 1].size());
+    for (size_t child = first; child < stop; ++child) {
+      Collect(index, level - 1, child, hi, begin, end, matches, tested);
+    }
+    return;
+  }
+  const size_t stop = std::min(first + kFanout, hi);
+  for (size_t i = first; i < stop; ++i) {
+    const Entry& entry = index.entries[i];
+    ++*tested;
+    if (!(entry.offset < end && begin < entry.offset + entry.size)) {
+      continue;
+    }
+    if (entry.check_block) {
+      const auto it =
+          std::lower_bound(index.block_of.begin(), index.block_of.end(),
+                           std::make_pair(entry.seq, uint32_t{0}));
+      if (!blocks_[it->second].MayMatch(index.file_id, begin, end)) {
+        continue;
+      }
+    }
+    matches->push_back(uint64_t{entry.seq} << 32 | i);
+  }
+}
+
 StatusOr<std::vector<Event>> ProvenanceStore::EventsOverlapping(
     int64_t file_id, int64_t begin, int64_t end,
-    ProvenanceQueryStats* query_stats) {
-  MutexLock lock(mu_);
-  const ProvenanceQueryStats before = query_.stats();
-  StatusOr<std::vector<Event>> events =
-      query_.EventsOverlapping(file_id, begin, end);
+    ProvenanceQueryStats* query_stats) const {
+  ProvenanceQueryStats stats;
+  stats.queries = 1;
+  for (const Kel2BlockInfo& block : blocks_) {
+    ++stats.blocks_considered;
+    if (!block.MayMatch(file_id, begin, end)) {
+      ++stats.blocks_skipped;
+    }
+  }
+  for (const BadBlock& bad : bad_blocks_) {
+    if (bad.info.MayMatch(file_id, begin, end)) {
+      return bad.status;  // The first error a store-order scan would hit.
+    }
+  }
+
+  std::vector<Event> events;
+  const auto file = std::lower_bound(
+      files_.begin(), files_.end(), file_id,
+      [](const FileIndex& index, int64_t id) { return index.file_id < id; });
+  if (file != files_.end() && file->file_id == file_id) {
+    const FileIndex& index = *file;
+    const size_t hi = static_cast<size_t>(
+        std::partition_point(index.entries.begin(), index.entries.end(),
+                             [end](const Entry& e) { return e.offset < end; }) -
+        index.entries.begin());
+    std::vector<uint64_t> matches;  // seq << 32 | entry index.
+    const size_t top = index.max_end.size() - 1;
+    for (size_t node = 0; node < index.max_end[top].size(); ++node) {
+      Collect(index, top, node, hi, begin, end, &matches,
+              &stats.events_scanned);
+    }
+    std::sort(matches.begin(), matches.end());
+    events.reserve(matches.size());
+    for (const uint64_t match : matches) {
+      const Entry& entry = index.entries[match & 0xFFFFFFFFu];
+      Event event;
+      event.id.pid = entry.pid;
+      event.id.file_id = file_id;
+      event.type = entry.type;
+      event.offset = entry.offset;
+      event.size = entry.size;
+      events.push_back(event);
+    }
+  }
   if (query_stats != nullptr) {
-    *query_stats = StatsDelta(before, query_.stats());
+    *query_stats = stats;
   }
   return events;
-}
-
-StatusOr<std::vector<int64_t>> ProvenanceStore::RunsTouching(int64_t file_id,
-                                                             int64_t begin,
-                                                             int64_t end) {
-  MutexLock lock(mu_);
-  return query_.RunsTouching(file_id, begin, end);
-}
-
-ProvenanceQueryStats ProvenanceStore::QueryStats() const {
-  MutexLock lock(mu_);
-  return query_.stats();
 }
 
 }  // namespace kondo

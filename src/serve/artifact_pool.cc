@@ -99,7 +99,7 @@ StatusOr<ArtifactPool::Entry<Handle>> ArtifactPool::Revalidate(
       entry.racy = racy;
       return entry;
     }
-    // Rewritten underneath the open handle: its manifest, decode memo and
+    // Rewritten underneath the open handle: its manifest, offset index and
     // cached descriptors describe bytes that no longer exist.
     pool.entries.erase(it);
     ++pool.reopened;
@@ -164,6 +164,15 @@ int64_t ArtifactPool::stores_open() const {
 int64_t ArtifactPool::stores_reopened() const {
   MutexLock lock(stores_.mu);
   return stores_.reopened;
+}
+
+int64_t ArtifactPool::store_index_bytes() const {
+  MutexLock lock(stores_.mu);
+  int64_t bytes = 0;
+  for (const auto& [name, entry] : stores_.entries) {
+    bytes += entry.handle->IndexBytes();
+  }
+  return bytes;
 }
 
 int64_t ArtifactPool::packs_open() const {

@@ -67,13 +67,15 @@ class ArtifactPool {
       const FetchSubsetRequest& request) KONDO_EXCLUDES(packs_.mu);
 
   /// Returns the open ProvenanceStore for a pooled `.kel2` name, opening
-  /// or (on fingerprint change) reopening it.
+  /// (building its offset index) or, on fingerprint change, reopening it.
   StatusOr<std::shared_ptr<ProvenanceStore>> OpenStore(
       const std::string& name) KONDO_EXCLUDES(stores_.mu);
 
   SubsetCacheStats cache_stats() const { return cache_.stats(); }
   int64_t stores_open() const KONDO_EXCLUDES(stores_.mu);
   int64_t stores_reopened() const KONDO_EXCLUDES(stores_.mu);
+  /// Sum of the open stores' ProvenanceStore::IndexBytes().
+  int64_t store_index_bytes() const KONDO_EXCLUDES(stores_.mu);
   int64_t packs_open() const KONDO_EXCLUDES(packs_.mu);
   int64_t packs_reopened() const KONDO_EXCLUDES(packs_.mu);
   /// Whole-file hashes done so far, over both pools.

@@ -14,26 +14,39 @@ void KpcAppendU8(uint8_t v, std::string* out) {
   out->push_back(static_cast<char>(v));
 }
 
-void KpcAppendU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+namespace {
+
+/// Little-endian store of the low `n` bytes of `v`, whatever the host order.
+void StoreLe(uint64_t v, size_t n, char* p) {
+  for (size_t i = 0; i < n; ++i) {
+    p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
   }
+}
+
+uint64_t Bits(int64_t v) {
+  uint64_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+}  // namespace
+
+void KpcAppendU32(uint32_t v, std::string* out) {
+  char buf[4];
+  StoreLe(v, 4, buf);
+  out->append(buf, 4);
 }
 
 void KpcAppendI64(int64_t v, std::string* out) {
-  uint64_t u;
-  std::memcpy(&u, &v, sizeof(u));
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((u >> (8 * i)) & 0xff));
-  }
+  char buf[8];
+  StoreLe(Bits(v), 8, buf);
+  out->append(buf, 8);
 }
 
 void KpcAppendF64(double v, std::string* out) {
-  uint64_t u;
-  std::memcpy(&u, &v, sizeof(u));
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((u >> (8 * i)) & 0xff));
-  }
+  int64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  KpcAppendI64(bits, out);
 }
 
 void KpcAppendString(std::string_view v, std::string* out) {
@@ -270,17 +283,25 @@ StatusOr<QueryRequest> QueryRequest::Decode(std::string_view payload) {
   return req;
 }
 
-std::string EventBatch::Encode() const {
-  std::string out;
-  KpcAppendU32(static_cast<uint32_t>(events.size()), &out);
-  for (const Event& event : events) {
-    KpcAppendI64(event.id.pid, &out);
-    KpcAppendI64(event.id.file_id, &out);
-    KpcAppendU8(static_cast<uint8_t>(event.type), &out);
-    KpcAppendI64(event.offset, &out);
-    KpcAppendI64(event.size, &out);
+std::string EncodeEventBatch(const Event* events, size_t count) {
+  std::string out(4 + kKpcEventWireBytes * count, '\0');
+  char* p = out.data();
+  StoreLe(count, 4, p);
+  p += 4;
+  for (size_t i = 0; i < count; ++i) {
+    const Event& event = events[i];
+    StoreLe(Bits(event.id.pid), 8, p);
+    StoreLe(Bits(event.id.file_id), 8, p + 8);
+    p[16] = static_cast<char>(event.type);
+    StoreLe(Bits(event.offset), 8, p + 17);
+    StoreLe(Bits(event.size), 8, p + 25);
+    p += kKpcEventWireBytes;
   }
   return out;
+}
+
+std::string EventBatch::Encode() const {
+  return EncodeEventBatch(events.data(), events.size());
 }
 
 StatusOr<EventBatch> EventBatch::Decode(std::string_view payload) {
@@ -288,9 +309,8 @@ StatusOr<EventBatch> EventBatch::Decode(std::string_view payload) {
   KpcCursor cur(payload);
   uint32_t count = 0;
   KONDO_RETURN_IF_ERROR(cur.ReadU32(&count));
-  // Each event is 33 wire bytes (pid + file_id + type + offset + size), so
-  // the count is provably short before the batch allocates anything.
-  if (count > cur.remaining() / 33) {
+  // The count is provably short before the batch allocates anything.
+  if (count > cur.remaining() / kKpcEventWireBytes) {
     return DataLossError(StrCat("KPC event batch count ", count,
                                 " overruns the remaining ", cur.remaining(),
                                 "-byte payload"));
@@ -451,6 +471,7 @@ std::string ServeStatsSnapshot::Encode() const {
   for (int v = 0; v < kKpcVerbCount; ++v) {
     AppendVerbLatency(verbs[v], &out);
   }
+  KpcAppendI64(store_index_bytes, &out);
   return out;
 }
 
@@ -484,6 +505,7 @@ StatusOr<ServeStatsSnapshot> ServeStatsSnapshot::Decode(
   for (int v = 0; v < kKpcVerbCount; ++v) {
     KONDO_RETURN_IF_ERROR(ReadVerbLatency(&cur, &s.verbs[v]));
   }
+  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.store_index_bytes));
   KONDO_RETURN_IF_ERROR(cur.Done());
   return s;
 }

@@ -140,8 +140,8 @@ struct FetchSubsetResponse {
 };
 
 /// query-provenance: which events / runs of a pooled KEL2 store touch byte
-/// range [begin, end) of `file_id`. Executed server-side with in-situ
-/// block skipping; events stream back in kEventBatch frames.
+/// range [begin, end) of `file_id`. Answered server-side from the store's
+/// offset index; events stream back in kEventBatch frames.
 struct QueryRequest {
   std::string store;  // Pool-relative name, e.g. "merged.kel2".
   int64_t file_id = 1;
@@ -153,7 +153,10 @@ struct QueryRequest {
   static StatusOr<QueryRequest> Decode(std::string_view payload);
 };
 
-/// One streamed batch of matching events, in store order.
+/// One streamed batch of matching events, in store order:
+///
+///   u32 count | count x (i64 pid, i64 file_id, u8 type, i64 offset,
+///                        i64 size)
 struct EventBatch {
   std::vector<Event> events;
 
@@ -161,8 +164,18 @@ struct EventBatch {
   static StatusOr<EventBatch> Decode(std::string_view payload);
 };
 
-/// Terminates a query stream: totals plus the engine's in-situ counters
-/// for this store (cumulative — the memo persists across requests).
+/// Wire bytes of one event in an EventBatch.
+constexpr size_t kKpcEventWireBytes = 33;
+
+/// The EventBatch payload of events [events, events + count), encoded in
+/// place: the server streams slices of one result without copying each
+/// into an EventBatch.
+std::string EncodeEventBatch(const Event* events, size_t count);
+
+/// Terminates a query stream: totals plus this query's block counters.
+/// `blocks_considered`/`blocks_skipped` are what the block descriptors
+/// alone decide; `blocks_decoded` is 0 for a pooled store, whose blocks
+/// were decoded into its offset index when it was opened.
 struct QueryDone {
   int64_t events_total = 0;
   std::vector<int64_t> runs;  // Sorted, deduplicated pids.
@@ -256,6 +269,9 @@ struct ServeStatsSnapshot {
   int64_t fingerprint_hashes = 0;  // Whole-file hashes, both pools.
 
   VerbLatency verbs[kKpcVerbCount];
+
+  // Heap bytes of the offset indexes of the open stores.
+  int64_t store_index_bytes = 0;
 
   std::string Encode() const;
   static StatusOr<ServeStatsSnapshot> Decode(std::string_view payload);

@@ -196,17 +196,14 @@ Status KondoServer::HandleQuery(Connection& conn, const KpcFrame& frame) {
   if (!events.ok()) {
     return WriteError(conn, events.status());
   }
-  const int batch_size = std::max(options_.events_per_batch, 1);
+  const size_t batch_size =
+      static_cast<size_t>(std::max(options_.events_per_batch, 1));
   if (request.runs_only == 0) {
-    for (size_t start = 0; start < events->size();
-         start += static_cast<size_t>(batch_size)) {
-      EventBatch batch;
-      const size_t stop =
-          std::min(events->size(), start + static_cast<size_t>(batch_size));
-      batch.events.assign(events->begin() + static_cast<int64_t>(start),
-                          events->begin() + static_cast<int64_t>(stop));
+    for (size_t start = 0; start < events->size(); start += batch_size) {
+      const size_t count = std::min(batch_size, events->size() - start);
       KONDO_RETURN_IF_ERROR(
-          WriteKpcFrame(conn, KpcKind::kEventBatch, batch.Encode()));
+          WriteKpcFrame(conn, KpcKind::kEventBatch,
+                        EncodeEventBatch(events->data() + start, count)));
     }
   }
   QueryDone done;
@@ -353,6 +350,7 @@ ServeStatsSnapshot KondoServer::Stats() const {
   snapshot.cache_capacity_bytes = cache.capacity_bytes;
   snapshot.stores_open = artifacts_.stores_open();
   snapshot.stores_reopened = artifacts_.stores_reopened();
+  snapshot.store_index_bytes = artifacts_.store_index_bytes();
   snapshot.packs_open = artifacts_.packs_open();
   snapshot.packs_reopened = artifacts_.packs_reopened();
   snapshot.fingerprint_hashes = artifacts_.fingerprint_hashes();

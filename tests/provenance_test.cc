@@ -23,6 +23,7 @@
 #include "provenance/kel2_writer.h"
 #include "provenance/persist.h"
 #include "provenance/provenance_query.h"
+#include "provenance/provenance_store.h"
 #include "provenance/varint.h"
 
 namespace kondo {
@@ -205,6 +206,49 @@ TEST(VarintTest, SmallMagnitudesStayShort) {
 TEST(Crc32Test, KnownVector) {
   // The classic IEEE CRC-32 check value.
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+}
+
+/// The CRC one bit at a time: the definition the table-driven code must
+/// reproduce.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  std::vector<uint8_t> buffer(64 + 8);
+  Rng rng(41);
+  for (uint8_t& byte : buffer) {
+    byte = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  }
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t length = 0; length <= 64; ++length) {
+      EXPECT_EQ(Crc32(buffer.data() + start, length),
+                BitwiseCrc32(buffer.data() + start, length))
+          << "start " << start << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedUpdateOverEverySplitMatchesOneShot) {
+  std::vector<uint8_t> buffer(100);
+  Rng rng(42);
+  for (uint8_t& byte : buffer) {
+    byte = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  }
+  const uint32_t one_shot = Crc32(buffer.data(), buffer.size());
+  for (size_t split = 0; split <= buffer.size(); ++split) {
+    const uint32_t head = Crc32Update(0, buffer.data(), split);
+    EXPECT_EQ(Crc32Update(head, buffer.data() + split, buffer.size() - split),
+              one_shot)
+        << "split " << split;
+  }
 }
 
 TEST(Crc32Test, IncrementalMatchesOneShot) {
@@ -581,6 +625,146 @@ TEST(ProvenanceQueryTest, AccessedIndicesFeedTheCarver) {
     EXPECT_TRUE(indices->Contains(Index({i})));
   }
   EXPECT_FALSE(indices->Contains(Index({3})));
+}
+
+// ----------------------------------------------------------------- store --
+
+/// Flips one byte in the middle of block `index`'s payload.
+void FlipPayloadByte(const std::string& path, size_t index) {
+  StatusOr<Kel2Reader> reader = Kel2Reader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  ASSERT_LT(index, reader->blocks().size());
+  const Kel2BlockInfo& block = reader->blocks()[index];
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, block.payload_pos + block.payload_bytes / 2,
+                       SEEK_SET),
+            0);
+  const int original = std::fgetc(f);
+  ASSERT_NE(original, EOF);
+  ASSERT_EQ(std::fseek(f, -1, SEEK_CUR), 0);
+  std::fputc(original ^ 0x40, f);
+  std::fclose(f);
+}
+
+/// A store that takes every path of the offset index: three file ids,
+/// events that are not data accesses, size-0 and negative-size reads
+/// (which no descriptor covers), one long mmap, many duplicate offsets,
+/// one block whose payload CRC fails, and a torn tail. Accesses sweep
+/// upward through the file, 32 slots at a time, so each block covers a
+/// narrow range and most queries miss the damaged one.
+std::string WriteAwkwardStore(const std::string& name) {
+  Rng rng(77);
+  std::vector<Event> events;
+  // Over 64 * 64 data accesses per file, so the max-end hierarchy has
+  // two levels.
+  for (int64_t i = 0; i < 16000; ++i) {
+    const int64_t pid = rng.UniformInt(1, 6);
+    const int64_t file_id = rng.UniformInt(1, 3);
+    const int64_t pick = rng.UniformInt(0, 99);
+    const int64_t offset = (i / 400) * 2048 + rng.UniformInt(0, 31) * 64;
+    if (pick < 4) {
+      events.push_back(MakeEvent(pid, file_id, EventType::kOpen, 0, 0));
+    } else if (pick < 6) {
+      events.push_back(MakeEvent(pid, file_id, EventType::kWrite, offset, 8));
+    } else if (pick < 8) {
+      events.push_back(MakeEvent(pid, file_id, EventType::kClose, 0, 0));
+    } else if (pick < 13) {
+      events.push_back(MakeEvent(pid, file_id, EventType::kRead, offset, 0));
+    } else if (pick < 15) {
+      events.push_back(MakeEvent(pid, file_id, EventType::kPread, offset, -7));
+    } else {
+      events.push_back(MakeEvent(pid, file_id, EventType::kPread, offset,
+                                 rng.UniformInt(1, 200)));
+    }
+  }
+  events[3000] = MakeEvent(9, 2, EventType::kMmap, 0, 1 << 20);
+  // Block 100 holds only size-0 reads, so its descriptor has no byte
+  // range and no query may return them; block 101's size-0 and
+  // negative-size reads sit far outside its sized reads' range.
+  for (int64_t k = 0; k < 64; ++k) {
+    events[6400 + k] =
+        MakeEvent(k % 5 + 1, k % 3 + 1, EventType::kRead, 32768 + k * 64, 0);
+    events[6464 + k] =
+        k < 32 ? MakeEvent(2, 1, EventType::kPread, k * 64, 64)
+               : MakeEvent(3, 1, EventType::kRead, 60000 + k * 64,
+                           k % 2 == 0 ? 0 : -3);
+  }
+  const std::string path = WriteKel2(name, events, 64);
+  FlipPayloadByte(path, 40);
+  StatusOr<int64_t> size = [&]() -> StatusOr<int64_t> {
+    StatusOr<Kel2Reader> reader = Kel2Reader::Open(path);
+    if (!reader.ok()) {
+      return reader.status();
+    }
+    return static_cast<int64_t>(kKel2HeaderBytes) + reader->BlockBytes();
+  }();
+  EXPECT_TRUE(size.ok()) << size.status();
+  if (size.ok()) {
+    EXPECT_EQ(::truncate(path.c_str(), *size - 10), 0);
+  }
+  return path;
+}
+
+TEST(ProvenanceStoreTest, IndexMatchesScan) {
+  const std::string path = WriteAwkwardStore("index_vs_scan.kel2");
+  StatusOr<std::unique_ptr<ProvenanceStore>> store =
+      ProvenanceStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status();
+  StatusOr<Kel2Reader> reader = Kel2Reader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  ASSERT_EQ((*store)->NumBlocks(), reader->NumBlocks());
+  ASSERT_EQ((*store)->NumBlocks(), 16000 / 64 - 1);  // Torn last block.
+  EXPECT_GT((*store)->IndexBytes(), 0);
+  EXPECT_LE((*store)->IndexBytes(), 40 * (*store)->NumEvents());
+  ProvenanceQuery scan(&*reader);
+
+  Rng rng(78);
+  int errors = 0;
+  int hits = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    const int64_t file_id = rng.UniformInt(0, 4);
+    const int64_t begin = rng.UniformInt(-100, 84000);
+    const int64_t end = trial % 10 == 0 ? begin - rng.UniformInt(0, 64)
+                        : trial % 10 == 1
+                            ? begin + rng.UniformInt(1, 1 << 21)
+                            : begin + rng.UniformInt(1, 300);
+    const ProvenanceQueryStats before = scan.stats();
+    const StatusOr<std::vector<Event>> want =
+        scan.EventsOverlapping(file_id, begin, end);
+    ProvenanceQueryStats stats;
+    const StatusOr<std::vector<Event>> got =
+        (*store)->EventsOverlapping(file_id, begin, end, &stats);
+    SCOPED_TRACE(::testing::Message() << "file " << file_id << " ["
+                                      << begin << "," << end << ")");
+    ASSERT_EQ(got.status().code(), want.status().code());
+    ASSERT_EQ(got.status().message(), want.status().message());
+    if (!want.ok()) {
+      ++errors;
+      continue;
+    }
+    ExpectSameEvents(*got, *want);
+    hits += want->empty() ? 0 : 1;
+    EXPECT_EQ(stats.blocks_considered,
+              scan.stats().blocks_considered - before.blocks_considered);
+    EXPECT_EQ(stats.blocks_skipped,
+              scan.stats().blocks_skipped - before.blocks_skipped);
+    EXPECT_EQ(stats.blocks_decoded, 0);
+  }
+  // Both outcomes, and non-empty results, were exercised.
+  EXPECT_GT(errors, 0);
+  EXPECT_GT(hits, 500);
+}
+
+TEST(ProvenanceStoreTest, EmptyStoreAnswersEveryQueryEmpty) {
+  const std::string path = WriteKel2("index_empty.kel2", {});
+  StatusOr<std::unique_ptr<ProvenanceStore>> store =
+      ProvenanceStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status();
+  EXPECT_EQ((*store)->IndexBytes(), 0);
+  StatusOr<std::vector<Event>> got = (*store)->EventsOverlapping(1, 0, 100);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_TRUE(got->empty());
 }
 
 // ---------------------------------------------------------------- persist --

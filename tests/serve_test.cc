@@ -26,7 +26,10 @@
 #include "pack/pack_writer.h"
 #include "provenance/crc32.h"
 #include "provenance/kel2_format.h"
+#include "provenance/kel2_reader.h"
 #include "provenance/kel2_writer.h"
+#include "provenance/provenance_query.h"
+#include "provenance/provenance_store.h"
 #include "serve/artifact_pool.h"
 #include "serve/blast.h"
 #include "serve/client.h"
@@ -140,6 +143,45 @@ TEST(KpcCodecTest, QueryAndSubmitRoundTrip) {
   EXPECT_EQ(decoded_verdict->message, "accepted");
 }
 
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    const auto byte = static_cast<uint8_t>(c);
+    hex.push_back(kDigits[byte >> 4]);
+    hex.push_back(kDigits[byte & 0xF]);
+  }
+  return hex;
+}
+
+TEST(KpcCodecTest, EventBatchWireBytesArePinned) {
+  // Recorded from the per-byte encoder the slice encoder replaced.
+  const std::string kWire =
+      "02000000"                                          // count
+      "2a00000000000000" "0300000000000000" "02"          // pid file type
+      "0002000000000000" "0800000000000000"               // offset size
+      "ffffffffffffffff" "0700000000000000" "03"
+      "0807060504030201" "feffffffffffffff";
+  std::vector<Event> events(2);
+  events[0].id = EventId{42, 3};
+  events[0].type = EventType::kPread;
+  events[0].offset = 512;
+  events[0].size = 8;
+  events[1].id = EventId{-1, 7};
+  events[1].type = EventType::kMmap;
+  events[1].offset = 0x0102030405060708;
+  events[1].size = -2;
+  EventBatch batch;
+  batch.events = events;
+  EXPECT_EQ(Hex(batch.Encode()), kWire);
+  EXPECT_EQ(Hex(EncodeEventBatch(events.data(), events.size())), kWire);
+  // A slice encodes as the batch of just that slice.
+  EventBatch tail;
+  tail.events = {events[1]};
+  EXPECT_EQ(EncodeEventBatch(events.data() + 1, 1), tail.Encode());
+  EXPECT_EQ(EncodeEventBatch(events.data(), 0), EventBatch().Encode());
+}
+
 TEST(KpcCodecTest, StatsRoundTrip) {
   ServeStatsSnapshot stats;
   stats.cache_hits = 10;
@@ -152,6 +194,7 @@ TEST(KpcCodecTest, StatsRoundTrip) {
   stats.verbs[kVerbFetchSubset].total_micros = 3400;
   stats.verbs[kVerbFetchSubset].max_micros = 900;
   stats.verbs[kVerbFetchSubset].buckets[10] = 12;
+  stats.store_index_bytes = 123456789;
   auto decoded = ServeStatsSnapshot::Decode(stats.Encode());
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->cache_hits, 10);
@@ -161,6 +204,7 @@ TEST(KpcCodecTest, StatsRoundTrip) {
   EXPECT_EQ(decoded->fingerprint_hashes, 3);
   EXPECT_EQ(decoded->verbs[kVerbFetchSubset].count, 12);
   EXPECT_EQ(decoded->verbs[kVerbFetchSubset].buckets[10], 12);
+  EXPECT_EQ(decoded->store_index_bytes, 123456789);
 }
 
 TEST(KpcCodecTest, ErrorCarriesStatus) {
@@ -723,9 +767,10 @@ TEST_F(ServeTest, QueryStreamsBatchesAndTotals) {
     EXPECT_EQ(result->events[i].offset, static_cast<int64_t>(i) * 8);
   }
   EXPECT_EQ(result->done.runs, (std::vector<int64_t>{0, 1, 2, 3}));
-  // The store has 5 blocks (20 events, 4 per block); [0,96) needs 3.
+  // The store has 5 blocks (20 events, 4 per block); [0,96) needs 3,
+  // all decoded into the store's offset index when it was opened.
   EXPECT_EQ(result->done.blocks_considered, 5);
-  EXPECT_EQ(result->done.blocks_decoded, 3);
+  EXPECT_EQ(result->done.blocks_decoded, 0);
   EXPECT_EQ(result->done.blocks_skipped, 2);
 
   // runs_only suppresses the event stream but keeps the totals.
@@ -735,12 +780,104 @@ TEST_F(ServeTest, QueryStreamsBatchesAndTotals) {
   EXPECT_TRUE(runs->events.empty());
   EXPECT_EQ(runs->done.events_total, 12);
   EXPECT_EQ(runs->done.runs, (std::vector<int64_t>{0, 1, 2, 3}));
-  // Block counters are per-query deltas, not the store's lifetime
-  // totals: the repeat considers the same 5 blocks but decodes none
-  // fresh — the store's decode memo serves all three.
+  // Block counters are per query, not the store's lifetime totals: the
+  // repeat considers the same 5 blocks and decodes none.
   EXPECT_EQ(runs->done.blocks_considered, 5);
   EXPECT_EQ(runs->done.blocks_skipped, 2);
   EXPECT_EQ(runs->done.blocks_decoded, 0);
+  server_->Stop();
+}
+
+TEST_F(ServeTest, StatsReportStoreIndexBytes) {
+  StartServer(ServeOptions{});
+  auto client = Client();
+  ASSERT_NE(client, nullptr);
+  StatusOr<ServeStatsSnapshot> before = client->Stats();
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_EQ(before->store_index_bytes, 0);  // No store is open yet.
+
+  QueryRequest request;
+  request.store = "trace.kel2";
+  request.end = 96;
+  ASSERT_TRUE(client->QueryProvenance(request).ok());
+  StatusOr<ServeStatsSnapshot> after = client->Stats();
+  ASSERT_TRUE(after.ok()) << after.status();
+  auto store = ProvenanceStore::Open(pool_root_ + "/trace.kel2");
+  ASSERT_TRUE(store.ok()) << store.status();
+  EXPECT_GT((*store)->IndexBytes(), 0);
+  EXPECT_EQ(after->stores_open, 1);
+  EXPECT_EQ(after->store_index_bytes, (*store)->IndexBytes());
+  server_->Stop();
+}
+
+TEST_F(ServeTest, ConcurrentQueriesOnOneStore) {
+  StartServer(ServeOptions{});
+  const std::string path = pool_root_ + "/wide.kel2";
+  WritePoolStore(path, /*events=*/2000);
+  // The reference: a store-order scan of the same file.
+  StatusOr<Kel2Reader> reader = Kel2Reader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  ProvenanceQuery scan(&*reader);
+  struct Case {
+    int64_t begin;
+    int64_t end;
+    std::vector<Event> want;
+  };
+  std::vector<Case> cases;
+  for (int64_t i = 0; i < 64; ++i) {
+    const int64_t begin = (i * 2477) % 16100 - 50;
+    const int64_t end = begin + 1 + (i * 131) % 700;
+    StatusOr<std::vector<Event>> want = scan.EventsOverlapping(1, begin, end);
+    ASSERT_TRUE(want.ok()) << want.status();
+    cases.push_back(Case{begin, end, *std::move(want)});
+  }
+
+  constexpr int kClients = 4;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      auto conn = KpcClient::Connect(server_->bound_address());
+      if (!conn.ok()) {
+        ++failures;
+        return;
+      }
+      for (size_t k = 0; k < cases.size(); ++k) {
+        // Each client walks the cases from a different start.
+        const Case& query = cases[(k + static_cast<size_t>(c) * 16) %
+                                  cases.size()];
+        QueryRequest request;
+        request.store = "wide.kel2";
+        request.begin = query.begin;
+        request.end = query.end;
+        StatusOr<QueryResult> got = (*conn)->QueryProvenance(request);
+        if (!got.ok()) {
+          ++failures;
+          continue;
+        }
+        bool same = got->events.size() == query.want.size() &&
+                    got->done.events_total ==
+                        static_cast<int64_t>(query.want.size());
+        for (size_t e = 0; same && e < query.want.size(); ++e) {
+          const Event& a = got->events[e];
+          const Event& b = query.want[e];
+          same = a.id == b.id && a.type == b.type && a.offset == b.offset &&
+                 a.size == b.size;
+        }
+        if (!same) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) {
+    client.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  // One pooled store served every client.
+  EXPECT_EQ(server_->Stats().stores_open, 1);
   server_->Stop();
 }
 

@@ -1185,12 +1185,14 @@ volatile std::sig_atomic_t g_serve_stop = 0;
 void ServeSignalHandler(int /*signum*/) { g_serve_stop = 1; }
 
 /// The `stores:` line of `stats` and the daemon's shutdown report: the
-/// open-handle pools and how many whole-file hashes revalidation cost.
+/// open-handle pools, the open stores' offset-index bytes, and how many
+/// whole-file hashes revalidation cost.
 void PrintPoolStats(const ServeStatsSnapshot& stats) {
-  std::printf("stores: %lld open, %lld reopened; packs: %lld open, %lld "
-              "reopened; %lld fingerprint hashes\n",
+  std::printf("stores: %lld open, %lld reopened, %lld index bytes; packs: "
+              "%lld open, %lld reopened; %lld fingerprint hashes\n",
               static_cast<long long>(stats.stores_open),
               static_cast<long long>(stats.stores_reopened),
+              static_cast<long long>(stats.store_index_bytes),
               static_cast<long long>(stats.packs_open),
               static_cast<long long>(stats.packs_reopened),
               static_cast<long long>(stats.fingerprint_hashes));
